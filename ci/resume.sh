@@ -36,9 +36,9 @@ tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 status=0
 
-# A grid long enough (~6 adpcm-enc/dec runs at 60k samples) that a kill
+# A grid long enough (~6 adpcm-enc/dec runs at 100k samples) that a kill
 # 1.5 s in reliably lands mid-grid on CI hardware.
-SWEEP_ARGS=(--adpcm=60000 --workloads=adpcm-enc,adpcm-dec --bits=2,4
+SWEEP_ARGS=(--adpcm=100000 --workloads=adpcm-enc,adpcm-dec --bits=2,4
             --baseline --seed=2001)
 
 echo "--- one-shot reference (serial)"

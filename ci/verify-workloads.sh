@@ -180,6 +180,31 @@ else
     echo "ok: $golden reproduced bit-for-bit"
 fi
 
+# --------------------------------------------------------- cycle anchors ----
+# The paper's two headline runs at CLI defaults (ROADMAP "cycle anchors"):
+# adpcm-enc under bimodal, and g721-enc with ASBR on.  The second pins the
+# whole profile -> accuracy reference -> selection -> fold path, so a change
+# that moves which branches get folded shows here.
+for anchor in "adpcm-enc 11848955" "g721-enc 78013855 --asbr"; do
+    read -r bench want flags <<< "$anchor"
+    out="$tmpdir/anchor_${bench}.json"
+    if ! "$STATS" run --bench="$bench" $flags --json="$out" \
+            > "$tmpdir/log" 2>&1; then
+        echo "FAIL: asbr-stats run --bench=$bench $flags failed:" >&2
+        cat "$tmpdir/log" >&2
+        status=1
+        continue
+    fi
+    got=$(python3 -c 'import json, sys
+print(json.load(open(sys.argv[1]))["counters"]["pipeline.cycles"])' "$out")
+    if [[ "$got" != "$want" ]]; then
+        echo "FAIL: $bench $flags ran $got cycles, anchor is $want" >&2
+        status=1
+    else
+        echo "ok: $bench $flags holds its $want-cycle anchor"
+    fi
+done
+
 # The fault-injection regression rides along with the workload gate: the
 # same build tree, the same committed goldens (see ci/faults.sh).
 ci/faults.sh || status=1

@@ -7,31 +7,34 @@
 // artifact exactly once per key and shares the result read-only:
 //
 //   WorkloadKey  -> WorkloadArtifacts   program + input (+ lazy profile and
-//                                       bimodal-2048 baseline accuracy)
+//                                       per-token prediction profiles; the
+//                                       bimodal-2048 replay over the ISS
+//                                       branch stream is the per-site
+//                                       accuracy reference)
 //   SelectionKey -> SelectionArtifacts  selected candidates + extracted
 //                                       BIT/static-fold entries
 //
 // Artifacts are immutable after construction; anything mutable a run needs
 // (Memory image, predictor, AsbrUnit) is built *fresh* from them per run, so
-// concurrent engine workers never share hot-path state.  ArtifactCache is
-// thread-safe: a key's first requester computes, concurrent requesters for
-// the same key block on a shared_future, and requesters of *different* keys
-// never serialize against the computation.
+// concurrent engine workers never share hot-path state.  Every keyed cache
+// here is a OnceMap: a key's first requester computes, concurrent
+// requesters for the same key block on a shared_future, and requesters of
+// *different* keys never serialize against the computation.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "asbr/asbr_unit.hpp"
 #include "asbr/bit.hpp"
 #include "asbr/static_fold.hpp"
 #include "bp/predictor.hpp"
+#include "driver/once_map.hpp"
 #include "mem/memory.hpp"
 #include "profile/profiler.hpp"
 #include "profile/selection.hpp"
@@ -72,11 +75,6 @@ struct Prepared {
     FetchCustomizer* customizer, const SamplingConfig& sampling,
     const PipelineConfig& config = {});
 
-/// Per-site accuracy map from a pipeline run (reference-predictor input to
-/// branch selection).
-[[nodiscard]] std::map<std::uint32_t, double> accuracyMap(
-    const PipelineStats& stats);
-
 /// Everything that determines a workload's program + input, byte for byte.
 struct WorkloadKey {
     BenchId workload = BenchId::kAdpcmEncode;
@@ -92,8 +90,9 @@ struct SelectionKey {
     WorkloadKey workload;
     std::size_t bitEntries = 16;  ///< resolved BIT capacity (never 0)
     ValueStage updateStage = ValueStage::kMemEnd;
-    /// Use the bimodal-2048 baseline run as the per-site accuracy reference
-    /// (every figure regenerator does; ext_predictors deliberately does not).
+    /// Use the bimodal-2048 replay over the ISS branch stream as the per-site
+    /// accuracy reference (every figure regenerator does; ext_predictors
+    /// deliberately does not).
     bool useAccuracy = true;
     bool staticFolds = false;  ///< two-class selection + static fold table
     /// Predictor-aware selection: fold only what `predictorToken` loses
@@ -106,9 +105,9 @@ struct SelectionKey {
     auto operator<=>(const SelectionKey&) const = default;
 };
 
-/// Immutable loaded workload.  The profile and the bimodal-2048 baseline
-/// accuracy are computed lazily (non-ASBR jobs never pay for them) but still
-/// exactly once, under a once_flag, so concurrent callers are safe.
+/// Immutable loaded workload.  The profile and the prediction profiles are
+/// computed lazily (non-ASBR jobs never pay for them) but still exactly once,
+/// so concurrent callers are safe.
 class WorkloadArtifacts {
 public:
     explicit WorkloadArtifacts(const WorkloadKey& key);
@@ -119,16 +118,14 @@ public:
     /// Functional branch profile (lazy, computed once).
     [[nodiscard]] const ProgramProfile& profile() const;
 
-    /// Per-site accuracy of a fresh bimodal-2048 baseline run (lazy, once) —
-    /// the hardness reference every selection uses.
-    [[nodiscard]] const std::map<std::uint32_t, double>& baselineAccuracy()
-        const;
+    /// Per-site accuracy of bimodal-2048 replayed over the ISS branch stream
+    /// (predictionProfile("bimodal")) — the hardness reference every
+    /// selection uses.  Per site it equals a bimodal-2048 pipeline run's.
+    [[nodiscard]] std::map<std::uint32_t, double> baselineAccuracy() const;
 
     /// Per-site prediction record of playing the predictor named by a
     /// registry token over this workload's committed branch stream
-    /// (profilePredictions).  Lazy, once per token: concurrent requesters of
-    /// the same token block on a shared_future; different tokens never
-    /// serialize against each other's computation.
+    /// (profilePredictions).  Lazy, once per token.
     [[nodiscard]] std::shared_ptr<const PredictionProfile> predictionProfile(
         const std::string& token) const;
 
@@ -137,12 +134,7 @@ private:
     Prepared prepared_;
     mutable std::once_flag profileOnce_;
     mutable std::optional<ProgramProfile> profile_;
-    mutable std::once_flag accuracyOnce_;
-    mutable std::map<std::uint32_t, double> accuracy_;
-    mutable std::mutex predictionsMutex_;
-    mutable std::map<std::string,
-                     std::shared_future<std::shared_ptr<const PredictionProfile>>>
-        predictions_;
+    mutable OnceMap<std::string, PredictionProfile> predictions_;
 };
 
 /// Immutable branch selection: candidates plus the extracted table contents,
@@ -217,21 +209,8 @@ public:
     [[nodiscard]] Stats stats() const;
 
 private:
-    template <typename Key, typename Value, typename Make>
-    std::shared_ptr<const Value> getOrCompute(
-        std::map<Key, std::shared_future<std::shared_ptr<const Value>>>& slots,
-        const Key& key, std::atomic<std::uint64_t>& computes, Make make);
-
-    mutable std::mutex mutex_;
-    std::map<WorkloadKey,
-             std::shared_future<std::shared_ptr<const WorkloadArtifacts>>>
-        workloads_;
-    std::map<SelectionKey,
-             std::shared_future<std::shared_ptr<const SelectionArtifacts>>>
-        selections_;
-    std::atomic<std::uint64_t> workloadComputes_{0};
-    std::atomic<std::uint64_t> selectionComputes_{0};
-    std::atomic<std::uint64_t> hits_{0};
+    OnceMap<WorkloadKey, WorkloadArtifacts> workloads_;
+    OnceMap<SelectionKey, SelectionArtifacts> selections_;
 };
 
 }  // namespace asbr::driver

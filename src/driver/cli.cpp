@@ -1,9 +1,9 @@
 #include "driver/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "driver/names.hpp"
 
@@ -15,11 +15,40 @@ const char* sharedOptionsHelp() {
            "--max-attempts=N --journal=DIR --resume";
 }
 
-std::optional<std::uint64_t> numArg(const std::string& arg,
-                                    const char* prefix) {
-    const std::size_t len = std::strlen(prefix);
-    if (arg.rfind(prefix, 0) != 0) return std::nullopt;
-    return std::strtoull(arg.c_str() + len, nullptr, 10);
+std::optional<std::uint64_t> parseUnsigned(std::string_view text) {
+    std::uint64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) return std::nullopt;
+    return value;
+}
+
+std::string badNumber(std::string_view flag, std::string_view value) {
+    return "bad " + std::string(flag) + " value '" + std::string(value) +
+           "' (want an unsigned decimal integer below 2^64)";
+}
+
+namespace {
+
+/// numArg's core: on a malformed value, sets `error` and yields 0.
+std::optional<std::uint64_t> numValue(const std::string& arg,
+                                      std::string_view prefix,
+                                      std::string& error) {
+    if (!arg.starts_with(prefix)) return std::nullopt;
+    const std::string_view value = std::string_view(arg).substr(prefix.size());
+    const auto parsed = parseUnsigned(value);
+    if (!parsed) error = badNumber(prefix.substr(0, prefix.size() - 1), value);
+    return parsed.value_or(0);
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> numArg(const std::string& arg, const char* prefix,
+                                    const char* program) {
+    std::string error;
+    const auto value = numValue(arg, prefix, error);
+    if (!error.empty()) cliFail(program, error);
+    return value;
 }
 
 bool consumeSharedOption(const std::string& arg, CliOptions& out,
@@ -30,19 +59,19 @@ bool consumeSharedOption(const std::string& arg, CliOptions& out,
         out.g721Samples = 2'000;
         return true;
     }
-    if (const auto v = numArg(arg, "--seed=")) {
+    if (const auto v = numValue(arg, "--seed=", error)) {
         out.seed = *v;
         return true;
     }
-    if (const auto v = numArg(arg, "--adpcm=")) {
+    if (const auto v = numValue(arg, "--adpcm=", error)) {
         out.adpcmSamples = *v;
         return true;
     }
-    if (const auto v = numArg(arg, "--g721=")) {
+    if (const auto v = numValue(arg, "--g721=", error)) {
         out.g721Samples = *v;
         return true;
     }
-    if (const auto v = numArg(arg, "--threads=")) {
+    if (const auto v = numValue(arg, "--threads=", error)) {
         out.threads = *v;
         return true;
     }
@@ -61,13 +90,13 @@ bool consumeSharedOption(const std::string& arg, CliOptions& out,
         out.csv = true;
         return true;
     }
-    if (const auto v = numArg(arg, "--job-timeout=")) {
+    if (const auto v = numValue(arg, "--job-timeout=", error)) {
         out.jobTimeoutMs = *v;
         return true;
     }
-    if (const auto v = numArg(arg, "--max-attempts=")) {
+    if (const auto v = numValue(arg, "--max-attempts=", error)) {
         if (*v == 0) {
-            error = "--max-attempts must be >= 1";
+            if (error.empty()) error = "--max-attempts must be >= 1";
             return true;
         }
         out.maxAttempts = *v;
@@ -96,28 +125,19 @@ bool consumeSharedOption(const std::string& arg, CliOptions& out,
         const std::size_t second =
             first == std::string::npos ? std::string::npos
                                        : spec.find(':', first + 1);
-        SamplingConfig sampling;
-        char* end = nullptr;
-        bool ok = first != std::string::npos && second != std::string::npos;
-        if (ok) {
-            sampling.warmup = std::strtoull(spec.c_str(), &end, 10);
-            ok = end == spec.c_str() + first;
+        std::optional<std::uint64_t> warmup, measure, skip;
+        if (second != std::string::npos) {
+            const std::string_view view(spec);
+            warmup = parseUnsigned(view.substr(0, first));
+            measure = parseUnsigned(view.substr(first + 1, second - first - 1));
+            skip = parseUnsigned(view.substr(second + 1));
         }
-        if (ok) {
-            sampling.measure =
-                std::strtoull(spec.c_str() + first + 1, &end, 10);
-            ok = end == spec.c_str() + second && sampling.measure > 0;
-        }
-        if (ok) {
-            sampling.skip = std::strtoull(spec.c_str() + second + 1, &end, 10);
-            ok = *end == '\0';
-        }
-        if (!ok) {
+        if (!warmup || !measure || *measure == 0 || !skip) {
             error = "bad --sample spec '" + spec +
                     "' (want WARMUP:MEASURE:SKIP with MEASURE > 0)";
             return true;
         }
-        out.sample = sampling;
+        out.sample = SamplingConfig{*warmup, *measure, *skip};
         return true;
     }
     return false;

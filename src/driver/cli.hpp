@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/sampling.hpp"
 #include "workloads/workloads.hpp"
@@ -53,10 +54,19 @@ struct CliOptions {
 /// Help-text fragment describing the shared options (one line, no newline).
 [[nodiscard]] const char* sharedOptionsHelp();
 
+/// Strict unsigned decimal: one or more digits and nothing else (no sign,
+/// space or trailing text), within 64 bits.  nullopt otherwise.
+[[nodiscard]] std::optional<std::uint64_t> parseUnsigned(std::string_view text);
+
+/// The one-line diagnostic for a `flag` whose value is not parseUnsigned.
+[[nodiscard]] std::string badNumber(std::string_view flag,
+                                    std::string_view value);
+
 /// Numeric "--prefix=N" argument; nullopt when `arg` does not start with
-/// `prefix`.
+/// `prefix`.  A malformed N is a bad command line: cliFail(program, ...).
 [[nodiscard]] std::optional<std::uint64_t> numArg(const std::string& arg,
-                                                  const char* prefix);
+                                                  const char* prefix,
+                                                  const char* program);
 
 /// Try to consume `arg` as one of the shared options.  Returns true when the
 /// argument was recognized; a recognized-but-invalid value (e.g.

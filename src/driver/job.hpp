@@ -41,9 +41,9 @@ struct SimJob {
     ValueStage updateStage = ValueStage::kMemEnd;
     bool parityProtected = false;
     bool staticFolds = false;     ///< two-class selection + static fold table
-    /// Selection uses the bimodal-2048 baseline run as its per-site accuracy
-    /// reference (every figure regenerator does; the external-predictor
-    /// ablation deliberately selects without one).
+    /// Selection uses the bimodal-2048 replay over the ISS branch stream as
+    /// its per-site accuracy reference (every figure regenerator does; the
+    /// external-predictor ablation deliberately selects without one).
     bool accuracyRef = true;
     /// Predictor-aware selection (docs/predictors.md): profile the job's own
     /// fallback predictor over the workload and fold only the branches it

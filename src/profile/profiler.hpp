@@ -76,7 +76,8 @@ struct PredictionProfile {
                              : static_cast<double>(branches - mispredicts) /
                                    static_cast<double>(branches);
     }
-    /// Per-site accuracy map, same shape the pipeline's accuracyMap yields.
+    /// Per-site accuracy map.  Under bimodal-2048 this is the selection
+    /// reference; per site it equals a bimodal-2048 pipeline run's.
     [[nodiscard]] std::map<std::uint32_t, double> accuracyMap() const;
 };
 

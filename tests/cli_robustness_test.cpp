@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 #include <string>
 
 namespace {
@@ -278,6 +279,65 @@ TEST(CliRobustness, BenchBinariesRejectJournalFlags) {
         runTool("../bench/fig6_baseline", "--quick --resume"),
         "fig6_baseline");
 }
+
+/// A numeric flag with an empty, signed, non-digit, trailing-garbage or
+/// overflowing value: exit 2 with exactly one line, naming the value.
+struct BadNumber {
+    const char* tool;
+    const char* args;
+    const char* value;  ///< the rejected text, echoed in the diagnostic
+};
+
+void PrintTo(const BadNumber& c, std::ostream* out) {
+    *out << c.tool << ' ' << c.args;
+}
+
+class BadNumericFlagTest : public testing::TestWithParam<BadNumber> {};
+
+TEST_P(BadNumericFlagTest, ExitsTwoWithOneLine) {
+    const BadNumber& c = GetParam();
+    const RunResult r = runTool(c.tool, c.args);
+    const std::string what = std::string(c.tool) + " " + c.args;
+    expectCleanRejection(r, what);
+    EXPECT_EQ(r.exitCode, 2) << what << "\n" << r.output;
+    EXPECT_EQ(r.output.find('\n'), r.output.size() - 1)
+        << what << " did not print exactly one line:\n" << r.output;
+    EXPECT_NE(r.output.find(std::string("'") + c.value + "'"), r.output.npos)
+        << what << "\n" << r.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Surfaces, BadNumericFlagTest,
+    testing::Values(
+        // Shared options (driver::consumeSharedOption).
+        BadNumber{"asbr-stats", "run --bench=adpcm-enc --seed=abc", "abc"},
+        BadNumber{"asbr-stats", "run --bench=adpcm-enc --threads=x", "x"},
+        BadNumber{"asbr-stats", "run --bench=adpcm-enc --adpcm=-5", "-5"},
+        BadNumber{"asbr-stats", "run --bench=adpcm-enc --g721=", ""},
+        BadNumber{"asbr-stats", "run --bench=adpcm-enc --g721=+7", "+7"},
+        BadNumber{"asbr-stats",
+                  "run --bench=adpcm-enc --seed=18446744073709551616",
+                  "18446744073709551616"},
+        BadNumber{"asbr-stats", "report --max-attempts=2x", "2x"},
+        BadNumber{"asbr-stats", "run --bench=adpcm-enc --sample=1:-5:3",
+                  "1:-5:3"},
+        // Tool-specific flags (driver::numArg).
+        BadNumber{"asbr-stats", "run --bench=adpcm-enc --bit=4k", "4k"},
+        BadNumber{"asbr-stats", "run --bench=adpcm-enc --min-mips=1.5",
+                  "1.5"},
+        BadNumber{"asbr-faults", "campaign --bench=adpcm-enc --injections=-1",
+                  "-1"},
+        BadNumber{"asbr-faults", "campaign --bench=adpcm-enc --fault-seed=0x9",
+                  "0x9"},
+        BadNumber{"asbr-faults", "replay report.json --index= 3", ""},
+        // asbr-sweep's --bits list.
+        BadNumber{"asbr-sweep", "--bits=abc", "abc"},
+        BadNumber{"asbr-sweep", "--bits=4,-5", "-5"},
+        // asbr-verify's subcommands.
+        BadNumber{"asbr-verify", "wcet --bench=adpcm-enc --samples=-5", "-5"},
+        BadNumber{"asbr-verify", "analyze --bench=adpcm-enc --threshold=3x",
+                  "3x"},
+        BadNumber{"asbr-verify", "prog.s --bit=sixteen", "sixteen"}));
 
 TEST_P(CliRobustnessTest, HelpMentionsDurabilityFlags) {
     const RunResult r = runTool(GetParam(), "--help");

@@ -14,11 +14,13 @@
 #include <string>
 #include <vector>
 
+#include "asm/assembler.hpp"
 #include "driver/cli.hpp"
 #include "driver/engine.hpp"
 #include "driver/names.hpp"
 #include "driver/pool.hpp"
 #include "driver/sweep.hpp"
+#include "program_gen.hpp"
 #include "report/fault_report.hpp"
 #include "report/report.hpp"
 #include "report/sweep_report.hpp"
@@ -189,6 +191,73 @@ TEST(ArtifactCacheTest, DistinctKeysDoNotShareArtifacts) {
     const ArtifactCache::Stats stats = engine.cacheStats();
     EXPECT_EQ(stats.workloadComputes, 2u);
     EXPECT_EQ(stats.selectionComputes, 3u);
+}
+
+/// The selection's accuracy reference (bimodal-2048 replayed over the ISS
+/// branch stream) against a bimodal-2048 pipeline run, the reference
+/// implementation: same site set, and per site the same integer counts.
+void expectReplayMatchesPipeline(const PredictionProfile& replay,
+                                 const PipelineStats& pipeline,
+                                 const std::string& what) {
+    std::set<std::uint32_t> replayPcs;
+    std::set<std::uint32_t> pipelinePcs;
+    for (const auto& [pc, site] : replay.sites) replayPcs.insert(pc);
+    for (const auto& [pc, site] : pipeline.branchSites) pipelinePcs.insert(pc);
+    EXPECT_EQ(replayPcs, pipelinePcs) << what;
+    for (const auto& [pc, site] : pipeline.branchSites) {
+        const auto it = replay.sites.find(pc);
+        if (it == replay.sites.end()) continue;
+        EXPECT_EQ(it->second.execs, site.execs) << what << " pc " << pc;
+        EXPECT_EQ(it->second.mispredicts, site.execs - site.predicted)
+            << what << " pc " << pc;
+    }
+}
+
+TEST(AccuracyReferenceTest, ReplayMatchesPipelineOnEveryWorkload) {
+    CliOptions quick;
+    std::string error;
+    ASSERT_TRUE(consumeSharedOption("--quick", quick, error));
+    for (const BenchId id : kAllBenchesExtended) {
+        for (const bool scheduled : {true, false}) {
+            const WorkloadArtifacts artifacts(
+                {id, scheduled, quick.seed, samplesFor(quick, id)});
+            const std::string what = std::string(benchToken(id)) +
+                                     (scheduled ? " scheduled" : " unscheduled");
+            auto bimodal = makePredictorByToken("bimodal");
+            const PipelineResult pipeline =
+                runPipeline(artifacts.prepared(), *bimodal);
+            expectReplayMatchesPipeline(*artifacts.predictionProfile("bimodal"),
+                                        pipeline.stats, what);
+            std::map<std::uint32_t, double> pipelineAccuracy;
+            for (const auto& [pc, site] : pipeline.stats.branchSites)
+                pipelineAccuracy[pc] = site.accuracy();
+            EXPECT_EQ(artifacts.baselineAccuracy(), pipelineAccuracy) << what;
+        }
+    }
+}
+
+TEST(AccuracyReferenceTest, ReplayMatchesPipelineOnGeneratedPrograms) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        for (int shape = 0; shape < 3; ++shape) {
+            ProgramGen gen(seed * 104729 + shape);
+            gen.withDispatch(shape == 1).withIrreducible(shape == 2);
+            const Program program = assemble(gen.generate());
+            const std::string what = "seed " + std::to_string(seed) +
+                                     " shape " + std::to_string(shape);
+            auto replayPredictor = makePredictorByToken("bimodal");
+            Memory replayMemory;
+            replayMemory.loadProgram(program);
+            const PredictionProfile replay =
+                profilePredictions(program, replayMemory, *replayPredictor);
+            auto pipelinePredictor = makePredictorByToken("bimodal");
+            Memory pipelineMemory;
+            pipelineMemory.loadProgram(program);
+            PipelineSim sim(program, pipelineMemory, *pipelinePredictor);
+            const PipelineResult pipeline = sim.run();
+            ASSERT_TRUE(pipeline.exited) << what;
+            expectReplayMatchesPipeline(replay, pipeline.stats, what);
+        }
+    }
 }
 
 TEST(PoolTest, ParallelForVisitsEveryIndexExactlyOnce) {

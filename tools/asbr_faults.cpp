@@ -129,9 +129,11 @@ int cmdCampaign(int argc, char** argv) {
             predictorName = arg.substr(12);
         } else if (arg == "--protected") {
             protectedMode = true;
-        } else if (const auto v = driver::numArg(arg, "--injections=")) {
+        } else if (const auto v =
+                       driver::numArg(arg, "--injections=", "campaign")) {
             campaign.injections = *v;
-        } else if (const auto v = driver::numArg(arg, "--fault-seed=")) {
+        } else if (const auto v =
+                       driver::numArg(arg, "--fault-seed=", "campaign")) {
             campaign.seed = *v;
         } else if (arg.rfind("--stage=", 0) == 0) {
             const auto s = driver::stageFromToken(arg.substr(8));
@@ -268,7 +270,7 @@ int cmdReplay(int argc, char** argv) {
     std::uint64_t index = 0;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (const auto v = driver::numArg(arg, "--index=")) {
+        if (const auto v = driver::numArg(arg, "--index=", "replay")) {
             index = *v;
         } else if (arg == "--help" || arg == "-h") {
             usage(0);

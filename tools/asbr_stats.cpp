@@ -186,7 +186,7 @@ int cmdRun(int argc, char** argv) {
         } else if (arg == "--protected") {
             job.parityProtected = true;
             job.asbr = true;
-        } else if (const auto v = driver::numArg(arg, "--bit=")) {
+        } else if (const auto v = driver::numArg(arg, "--bit=", "run")) {
             job.bitEntries = *v;
             job.asbr = true;
         } else if (arg.rfind("--stage=", 0) == 0) {
@@ -200,7 +200,7 @@ int cmdRun(int argc, char** argv) {
             job.asbr = true;
         } else if (arg == "--sample-ref") {
             job.sampleReference = true;
-        } else if (const auto v = driver::numArg(arg, "--min-mips=")) {
+        } else if (const auto v = driver::numArg(arg, "--min-mips=", "run")) {
             minMips = *v;
         } else if (arg.rfind("--trace=", 0) == 0) {
             tracePath = arg.substr(8);
@@ -211,11 +211,12 @@ int cmdRun(int argc, char** argv) {
                              traceFormat.c_str());
                 return 2;
             }
-        } else if (const auto v = driver::numArg(arg, "--trace-start=")) {
+        } else if (const auto v =
+                       driver::numArg(arg, "--trace-start=", "run")) {
             job.traceConfig.startCycle = *v;
-        } else if (const auto v = driver::numArg(arg, "--trace-end=")) {
+        } else if (const auto v = driver::numArg(arg, "--trace-end=", "run")) {
             job.traceConfig.endCycle = *v;
-        } else if (const auto v = driver::numArg(arg, "--trace-max=")) {
+        } else if (const auto v = driver::numArg(arg, "--trace-max=", "run")) {
             job.traceConfig.maxEvents = *v;
         } else if (arg == "--help" || arg == "-h") {
             usage(0);

@@ -144,8 +144,12 @@ int main(int argc, char** argv) {
             }
         } else if (arg.rfind("--bits=", 0) == 0) {
             grid.bitSizes.clear();
-            for (const std::string& token : splitList(arg.substr(7)))
-                grid.bitSizes.push_back(std::strtoull(token.c_str(), nullptr, 10));
+            for (const std::string& token : splitList(arg.substr(7))) {
+                const auto bits = driver::parseUnsigned(token);
+                if (!bits)
+                    driver::cliFail(argv[0], driver::badNumber("--bits", token));
+                grid.bitSizes.push_back(*bits);
+            }
         } else if (arg.rfind("--stages=", 0) == 0) {
             grid.stages.clear();
             for (const std::string& token : splitList(arg.substr(9))) {

@@ -31,6 +31,7 @@
 #include "cc/compile.hpp"
 #include "cc/schedule.hpp"
 #include "driver/artifacts.hpp"
+#include "driver/cli.hpp"
 #include "driver/names.hpp"
 #include "mem/memory.hpp"
 #include "profile/profiler.hpp"
@@ -43,6 +44,8 @@
 namespace {
 
 using namespace asbr;
+
+constexpr const char* kTool = "asbr-verify";
 
 [[noreturn]] void usage(int code) {
     std::fputs(
@@ -86,28 +89,6 @@ using namespace asbr;
         "docs/robustness.md.\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
-}
-
-std::size_t parseCount(const std::string& arg, const std::string& value) {
-    try {
-        std::size_t end = 0;
-        const unsigned long n = std::stoul(value, &end);
-        if (end == value.size() && !value.empty()) return n;
-    } catch (const std::exception&) {
-    }
-    std::fprintf(stderr, "asbr-verify: '%s' needs a numeric value\n",
-                 arg.c_str());
-    std::exit(2);
-}
-
-std::optional<BenchId> benchFromName(const std::string& s) {
-    if (s == "adpcm-enc") return BenchId::kAdpcmEncode;
-    if (s == "adpcm-dec") return BenchId::kAdpcmDecode;
-    if (s == "g721-enc") return BenchId::kG721Encode;
-    if (s == "g721-dec") return BenchId::kG721Decode;
-    if (s == "g711-enc") return BenchId::kG711Encode;
-    if (s == "g711-dec") return BenchId::kG711Decode;
-    return std::nullopt;
 }
 
 /// Compile/assemble `path` (.s/.asm = assembly, anything else = mcc C).
@@ -190,9 +171,8 @@ int cmdAnalyze(int argc, char** argv) {
             benchToken = arg.substr(8);
         else if (arg.rfind("--out=", 0) == 0)
             outPath = arg.substr(6);
-        else if (arg.rfind("--threshold=", 0) == 0)
-            threshold =
-                static_cast<std::uint32_t>(parseCount(arg, arg.substr(12)));
+        else if (const auto v = driver::numArg(arg, "--threshold=", kTool))
+            threshold = static_cast<std::uint32_t>(*v);
         else if (arg.rfind("--dump-cfg=", 0) == 0)
             dumpCfgPath = arg.substr(11);
         else if (arg == "--no-schedule") schedule = false;
@@ -223,7 +203,7 @@ int cmdAnalyze(int argc, char** argv) {
     meta.threshold = threshold;
     meta.scheduled = schedule;
     if (!benchToken.empty()) {
-        const auto id = benchFromName(benchToken);
+        const auto id = driver::benchFromToken(benchToken);
         if (!id) {
             std::fprintf(stderr, "asbr-verify analyze: unknown bench '%s'\n",
                          benchToken.c_str());
@@ -310,15 +290,14 @@ int cmdWcet(int argc, char** argv) {
             benchToken = arg.substr(8);
         else if (arg.rfind("--out=", 0) == 0)
             outPath = arg.substr(6);
-        else if (arg.rfind("--threshold=", 0) == 0)
-            threshold =
-                static_cast<std::uint32_t>(parseCount(arg, arg.substr(12)));
-        else if (arg.rfind("--seed=", 0) == 0)
-            seed = parseCount(arg, arg.substr(7));
-        else if (arg.rfind("--samples=", 0) == 0)
-            samples = parseCount(arg, arg.substr(10));
-        else if (arg.rfind("--threads=", 0) == 0)
-            threads = parseCount(arg, arg.substr(10));
+        else if (const auto v = driver::numArg(arg, "--threshold=", kTool))
+            threshold = static_cast<std::uint32_t>(*v);
+        else if (const auto v = driver::numArg(arg, "--seed=", kTool))
+            seed = *v;
+        else if (const auto v = driver::numArg(arg, "--samples=", kTool))
+            samples = *v;
+        else if (const auto v = driver::numArg(arg, "--threads=", kTool))
+            threads = *v;
         else if (arg == "--no-schedule") schedule = false;
         else if (arg == "--strict") strict = true;
         else if (arg == "--quiet") quiet = true;
@@ -353,7 +332,7 @@ int cmdWcet(int argc, char** argv) {
     meta.scheduled = schedule;
     meta.seed = seed;
     if (!benchToken.empty()) {
-        const auto id = benchFromName(benchToken);
+        const auto id = driver::benchFromToken(benchToken);
         if (!id) {
             std::fprintf(stderr, "asbr-verify wcet: unknown bench '%s'\n",
                          benchToken.c_str());
@@ -571,7 +550,7 @@ Program loadForSubcommand(const char* sub, const std::string& path,
         std::exit(2);
     }
     if (!benchToken.empty()) {
-        const auto id = benchFromName(benchToken);
+        const auto id = driver::benchFromToken(benchToken);
         if (!id) {
             std::fprintf(stderr, "asbr-verify %s: unknown bench '%s'\n", sub,
                          benchToken.c_str());
@@ -764,13 +743,12 @@ int main(int argc, char** argv) {
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--threshold=", 0) == 0)
-            threshold =
-                static_cast<std::uint32_t>(parseCount(arg, arg.substr(12)));
-        else if (arg.rfind("--bit=", 0) == 0)
-            ways = parseCount(arg, arg.substr(6));
-        else if (arg.rfind("--sets=", 0) == 0)
-            sets = parseCount(arg, arg.substr(7));
+        if (const auto v = driver::numArg(arg, "--threshold=", kTool))
+            threshold = static_cast<std::uint32_t>(*v);
+        else if (const auto v = driver::numArg(arg, "--bit=", kTool))
+            ways = *v;
+        else if (const auto v = driver::numArg(arg, "--sets=", kTool))
+            sets = *v;
         else if (arg.rfind("--dump-cfg=", 0) == 0)
             dumpCfgPath = arg.substr(11);
         else if (arg == "--all") all = true;

@@ -4,6 +4,10 @@
 // for users of the library, not paper results.
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "asbr/asbr_unit.hpp"
 #include "asbr/extract.hpp"
 #include "asm/assembler.hpp"
@@ -159,6 +163,47 @@ void BM_BitLookup(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_BitLookup);
+
+/// The in-order stream of fetched text PCs (the committed path of the
+/// adpcm-enc ISS run), with the instruction at each — recorded once.
+const std::vector<std::pair<std::uint32_t, const Instruction*>>&
+fetchStream() {
+    static const auto stream = [] {
+        const Program& p = adpcmProgram();
+        Memory mem;
+        mem.loadProgram(p);
+        loadPcmInput(mem, p, pcmInput());
+        FunctionalSim sim(p, mem);
+        std::vector<std::pair<std::uint32_t, const Instruction*>> out;
+        sim.setTraceHook([&](const Instruction&, const StepResult& sr) {
+            out.emplace_back(sr.pc, &p.at(sr.pc));
+        });
+        (void)sim.run();
+        return out;
+    }();
+    return stream;
+}
+
+void BM_AsbrFetch(benchmark::State& state) {
+    // Unlike BM_BitLookup (hits only), this is the per-fetch cost the
+    // pipeline pays: a 16-entry BIT consulted on every fetched PC, where
+    // almost every PC is in no table.
+    const Program& p = adpcmProgram();
+    const auto pcs = allConditionalBranches(p);
+    AsbrUnit unit;
+    unit.loadBank(0, extractBranchInfos(
+                         p, std::span(pcs).subspan(
+                                0, std::min<std::size_t>(pcs.size(), 16))));
+    const auto& stream = fetchStream();
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const auto& [pc, ins] = stream[i];
+        benchmark::DoNotOptimize(unit.onFetch(pc, *ins));
+        if (++i == stream.size()) i = 0;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AsbrFetch);
 
 void BM_Assemble(benchmark::State& state) {
     std::string src = "main:\n";

@@ -10,6 +10,11 @@ BUILD_DIR=${BUILD_DIR:-build-lint}
 # Docs are checked first — the checker needs no compiler.
 ci/docs-check.sh
 
+# The host-speed benchmark's own tests (percentile rule, pin checker, self
+# time by layer) are plain Python and need no build either.
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+echo "ok: perfbench harness tests pass"
+
 # The lint file list is a recursive find, but the static-analysis subsystem
 # is easy to orphan (nested directory, INTERFACE-only aggregation target) —
 # assert its sources are in scope so they can never silently drop out.

@@ -80,18 +80,32 @@ public:
     /// old dynamic-only policy would have spent on these branches — freed
     /// for the next-hottest dynamic candidates; it is a customization fact,
     /// so reset() leaves it (and the table) in place, like loadBank data.
-    void loadStaticFolds(std::vector<StaticFoldEntry> entries,
+    void loadStaticFolds(const std::vector<StaticFoldEntry>& entries,
                          std::uint64_t bitSlotsReclaimed = 0);
 
     /// FetchCustomizer interface --------------------------------------------
-    std::optional<FoldOutcome> onFetch(std::uint32_t pc,
-                                       const Instruction& fetched) override;
-    void reset() override;
+    // Every virtual member is defined inline: the pipeline and the sampled
+    // fast-forward loop run with the concrete (final) type, which inlines the
+    // hooks wholesale (sim/customizer_dispatch.hpp), and with no out-of-line
+    // virtual the class's type information is emitted wherever it is used,
+    // so the simulator library can test for it without linking this one.
 
-    // The per-instruction replay hooks are defined inline: both the pipeline
-    // (through the virtual interface) and the sampled fast-forward loop
-    // (through the concrete type, which inlines them wholesale) fire these
-    // for every committed instruction.
+    std::optional<FoldOutcome> onFetch(std::uint32_t pc,
+                                       const Instruction& fetched) override {
+        // Almost every fetch is of a PC in neither table; the two filters
+        // reject those before any table scan.
+        if (!staticFolds_.mayMatch(pc) && !bit_.mayMatch(pc))
+            return std::nullopt;
+        return foldCandidate(pc, fetched);
+    }
+
+    void reset() override {
+        bdt_.reset();
+        stats_ = AsbrStats{};
+        bit_.selectBank(0);
+        pendingRecoveryStall_ = 0;
+    }
+
     void onProducerDecoded(std::uint8_t reg) override {
         if (!bdtGate(reg)) return;
         bdt_.producerDecoded(reg);
@@ -160,6 +174,10 @@ public:
     void publishMetrics(MetricRegistry& registry) const;
 
 private:
+    /// onFetch past the filters: the table lookups and the fold decision.
+    std::optional<FoldOutcome> foldCandidate(std::uint32_t pc,
+                                             const Instruction& fetched);
+
     /// Protected-mode gate in front of every BDT access: on a parity mismatch
     /// the entry is quarantined, a recovery is counted and the scrub penalty
     /// is queued.  Returns false when the entry must not be used this access.
@@ -191,5 +209,54 @@ private:
     std::uint64_t bitSlotsReclaimed_ = 0;
     std::uint32_t pendingRecoveryStall_ = 0;
 };
+
+inline std::optional<FetchCustomizer::FoldOutcome> AsbrUnit::foldCandidate(
+    std::uint32_t pc, const Instruction& fetched) {
+    // Statically-decided branches resolve before the BIT is even consulted:
+    // the direction is a customization-time constant, so no BDT read, no
+    // validity check, and no way to be blocked.
+    if (const StaticFoldTable::Entry* sf =
+            staticFolds_.mayMatch(pc) ? staticFolds_.lookup(pc) : nullptr) {
+        ASBR_ENSURE(isCondBranch(fetched.op),
+                    "static fold entry does not match the fetched instruction");
+        ++stats_.staticFolds;
+        ++stats_.folds;
+        if (sf->taken) ++stats_.foldsTaken;
+        return FoldOutcome{&sf->replacement, sf->taken};
+    }
+    const BranchIdentificationTable::Entry* stored = nullptr;
+    if (config_.parityProtected) {
+        bool recovered = false;
+        stored = bit_.lookupProtected(pc, recovered);
+        if (recovered) {
+            chargeRecovery();
+            return std::nullopt;  // entry scrubbed — predictor path
+        }
+    } else {
+        stored = bit_.lookup(pc);
+    }
+    if (stored == nullptr) return std::nullopt;
+    ++stats_.lookups;
+    const BranchInfo* entry = &stored->info;
+    // The BIT identifies branches by PC before decode; entries are extracted
+    // from the same program image, so a mismatch means corrupted
+    // customization data.
+    ASBR_ENSURE(isCondBranch(fetched.op) && fetched.rs == entry->conditionReg,
+                "BIT entry does not match the fetched instruction");
+    if (!bdtGate(entry->conditionReg)) {
+        ++stats_.quarantinedBlocks;
+        return std::nullopt;  // BDT entry out of service — use predictor
+    }
+    if (!bdt_.isValid(entry->conditionReg)) {
+        ++stats_.blockedInvalid;
+        return std::nullopt;  // predicate producer in flight — use predictor
+    }
+    ++stats_.folds;
+    if (bdt_.direction(entry->conditionReg, entry->cond)) {
+        ++stats_.foldsTaken;
+        return FoldOutcome{&stored->btiOp, true};
+    }
+    return FoldOutcome{&stored->bfiOp, false};
+}
 
 }  // namespace asbr

@@ -19,8 +19,8 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "isa/isa.hpp"
 #include "util/ensure.hpp"
@@ -159,21 +159,29 @@ private:
         bool quarantined = false;  ///< protected-mode: entry out of service
     };
 
-    /// evalCond over every condition at once; constexpr evalCond folds this
-    /// into a handful of branchless flag computations.
+    /// evalCond over every condition at once.  Expanded over a constant
+    /// index pack, so each evalCond folds to one flag computation instead
+    /// of a switch dispatched per condition.
     [[nodiscard]] static std::uint8_t condMask(std::int32_t value) {
-        std::uint8_t mask = 0;
-        for (int c = 0; c < kNumConds; ++c)
-            if (evalCond(static_cast<Cond>(c), value))
-                mask |= static_cast<std::uint8_t>(1u << c);
-        return mask;
+        return condMask(value, std::make_index_sequence<kNumConds>{});
+    }
+    template <std::size_t... C>
+    [[nodiscard]] static std::uint8_t condMask(std::int32_t value,
+                                               std::index_sequence<C...>) {
+        return static_cast<std::uint8_t>(
+            ((evalCond(static_cast<Cond>(C), value) ? 1u << C : 0u) | ...));
     }
 
+    /// Even parity over bits + pending: the parity of their XOR is the
+    /// parity of the two popcounts' sum.  Folded by shifts so the hot
+    /// BDT-event path makes no library call (a target without a popcount
+    /// instruction turns std::popcount into one).
     [[nodiscard]] static bool computeParity(const Entry& e) {
-        return (std::popcount(static_cast<unsigned>(e.bits)) +
-                std::popcount(static_cast<unsigned>(e.pending))) %
-                   2 !=
-               0;
+        unsigned v = static_cast<unsigned>(e.bits ^ e.pending);
+        v ^= v >> 4;
+        v ^= v >> 2;
+        v ^= v >> 1;
+        return (v & 1u) != 0;
     }
 
     std::array<Entry, kNumRegs> entries_;

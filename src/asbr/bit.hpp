@@ -14,17 +14,31 @@
 // port (flipEntryBit) flips a stored bit without fixing it, modeling a soft
 // error.  Protected lookups check parity on a PC match and invalidate the
 // entry on mismatch — the branch then takes the ordinary predictor path.
+//
+// Host-speed bookkeeping (never changes what a lookup returns): each bank
+// keeps a 64-bit PC filter with one bit per (pc / 4) mod 64, set for every
+// loaded entry, so a fetch whose PC cannot match is rejected with one AND
+// instead of a scan; and each entry keeps its BTI/BFI pre-decoded at the
+// address the replacement executes at, so a fold hands the pipeline a ready
+// micro-op record.  Both are re-derived whenever a field they depend on is
+// written, fault-injection flips included.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "isa/encoding.hpp"
 #include "isa/isa.hpp"
+#include "sim/decode_cache.hpp"
 #include "util/ensure.hpp"
 
 namespace asbr {
+
+/// The bit a PC owns in a 64-bit table filter: instruction-word index mod 64.
+/// PCs 256 bytes apart alias; a set bit means "may match", never "matches".
+[[nodiscard]] inline std::uint64_t pcFilterBit(std::uint32_t pc) {
+    return std::uint64_t{1} << ((pc / kInstrBytes) % 64);
+}
 
 /// Statically pre-decoded information for one foldable branch — the fields
 /// of one BIT entry (PC, DI, BTA, BTI/inst1, BFI/inst2).
@@ -58,6 +72,19 @@ enum class BitField : std::uint8_t {
 
 class BranchIdentificationTable {
 public:
+    /// One stored entry: the branch information, its replacements decoded
+    /// where they execute, and the robustness state.
+    struct Entry {
+        BranchInfo info;
+        DecodedOp btiOp;            ///< bti decoded at bta (taken fold)
+        DecodedOp bfiOp;            ///< bfi decoded at pc + 4 (fall-through)
+        std::uint32_t btiWord = 0;  ///< encoded bti (parity ground truth)
+        std::uint32_t bfiWord = 0;  ///< encoded bfi (parity ground truth)
+        bool parity = false;        ///< even parity over all stored words
+        bool valid = true;          ///< cleared by protected-mode recovery
+        bool decodable = true;      ///< replacement words still decode
+    };
+
     /// `capacity` is the per-bank entry count (paper: 16).
     explicit BranchIdentificationTable(std::size_t capacity = 16,
                                        std::size_t numBanks = 1)
@@ -76,17 +103,19 @@ public:
             for (std::size_t j = i + 1; j < entries.size(); ++j)
                 ASBR_ENSURE(entries[i].pc != entries[j].pc,
                             "BIT: duplicate branch PC in bank");
-        std::vector<Stored> stored;
+        std::vector<Entry> stored;
         stored.reserve(entries.size());
         for (BranchInfo& info : entries) {
-            Stored s;
-            s.btiWord = encode(info.bti);
-            s.bfiWord = encode(info.bfi);
-            s.info = std::move(info);
-            s.parity = computeParity(s);
-            stored.push_back(s);
+            Entry e;
+            e.btiWord = encode(info.bti);
+            e.bfiWord = encode(info.bfi);
+            e.info = std::move(info);
+            e.parity = computeParity(e);
+            predecode(e);
+            stored.push_back(e);
         }
-        banks_[bank] = std::move(stored);
+        banks_[bank].entries = std::move(stored);
+        rebuildFilter(banks_[bank]);
     }
 
     /// Select the active bank (control-register write at run time).
@@ -102,27 +131,34 @@ public:
     /// Number of entries loaded into `bank` (fault-site enumeration).
     [[nodiscard]] std::size_t entryCount(std::size_t bank) const {
         ASBR_ENSURE(bank < banks_.size(), "BIT: bad bank index");
-        return banks_[bank].size();
+        return banks_[bank].entries.size();
     }
 
     /// Decoded view of entry `entry` in `bank` (fault-site enumeration).
     [[nodiscard]] const BranchInfo& entryInfo(std::size_t bank,
                                               std::size_t entry) const {
         ASBR_ENSURE(bank < banks_.size(), "BIT: bad bank index");
-        ASBR_ENSURE(entry < banks_[bank].size(), "BIT: bad entry index");
-        return banks_[bank][entry].info;
+        ASBR_ENSURE(entry < banks_[bank].entries.size(),
+                    "BIT: bad entry index");
+        return banks_[bank].entries[entry].info;
+    }
+
+    /// Filter test against the active bank: false means no entry of the
+    /// bank can match `pc`, so lookup() would return null.
+    [[nodiscard]] bool mayMatch(std::uint32_t pc) const {
+        return (banks_[active_].filter & pcFilterBit(pc)) != 0;
     }
 
     /// Fully-associative PC match against the active bank (fetch stage),
     /// without any parity checking (unprotected hardware).  An entry whose
     /// replacement slot no longer decodes is corrupted customization data:
     /// fetching through it is an illegal-instruction condition.
-    [[nodiscard]] const BranchInfo* lookup(std::uint32_t pc) const {
-        for (const Stored& e : banks_[active_]) {
+    [[nodiscard]] const Entry* lookup(std::uint32_t pc) const {
+        for (const Entry& e : banks_[active_].entries) {
             if (!e.valid || e.info.pc != pc) continue;
             ASBR_ENSURE(e.decodable,
                         "BIT: corrupted replacement instruction fetched");
-            return &e.info;
+            return &e;
         }
         return nullptr;
     }
@@ -131,10 +167,10 @@ public:
     /// parity the entry is invalidated for the rest of the run, `recovered`
     /// is set, and no fold happens — the branch falls back to the general
     /// predictor path.
-    [[nodiscard]] const BranchInfo* lookupProtected(std::uint32_t pc,
-                                                    bool& recovered) {
+    [[nodiscard]] const Entry* lookupProtected(std::uint32_t pc,
+                                               bool& recovered) {
         recovered = false;
-        for (Stored& e : banks_[active_]) {
+        for (Entry& e : banks_[active_].entries) {
             if (!e.valid || e.info.pc != pc) continue;
             if (e.parity != computeParity(e)) {
                 e.valid = false;
@@ -143,7 +179,7 @@ public:
             }
             ASBR_ENSURE(e.decodable,
                         "BIT: corrupted replacement instruction fetched");
-            return &e.info;
+            return &e;
         }
         return nullptr;
     }
@@ -151,17 +187,22 @@ public:
     /// Fault-injection port: flip bit `bit` of `field` in entry `entry` of
     /// `bank`, WITHOUT updating parity.  Flips of the encoded BTI/BFI words
     /// re-derive the decoded slot; a word that no longer decodes marks the
-    /// entry undecodable (the flip hit the opcode field).
+    /// entry undecodable (the flip hit the opcode field).  Flips of the PC,
+    /// BTA, BTI or BFI re-derive the pre-decoded replacements, and a PC flip
+    /// rebuilds the bank's filter.
     void flipEntryBit(std::size_t bank, std::size_t entry, BitField field,
                       unsigned bit) {
         ASBR_ENSURE(bank < banks_.size(), "BIT: bad bank index");
-        ASBR_ENSURE(entry < banks_[bank].size(), "BIT: bad entry index");
+        ASBR_ENSURE(entry < banks_[bank].entries.size(),
+                    "BIT: bad entry index");
         ASBR_ENSURE(bit < bitFieldWidth(field), "BIT: bit out of range");
-        Stored& e = banks_[bank][entry];
+        Entry& e = banks_[bank].entries[entry];
         const std::uint32_t mask = 1u << bit;
         switch (field) {
             case BitField::kPc:
                 e.info.pc ^= mask;
+                predecode(e);
+                rebuildFilter(banks_[bank]);
                 break;
             case BitField::kDi:
                 if (bit < 5) {
@@ -176,14 +217,17 @@ public:
                 break;
             case BitField::kBta:
                 e.info.bta ^= mask;
+                predecode(e);
                 break;
             case BitField::kBti:
                 e.btiWord ^= mask;
                 redecode(e.btiWord, e.info.bti, e);
+                predecode(e);
                 break;
             case BitField::kBfi:
                 e.bfiWord ^= mask;
                 redecode(e.bfiWord, e.info.bfi, e);
+                predecode(e);
                 break;
             case BitField::kParity:
                 e.parity = !e.parity;
@@ -204,16 +248,25 @@ public:
     }
 
 private:
-    struct Stored {
-        BranchInfo info;
-        std::uint32_t btiWord = 0;  ///< encoded bti (parity ground truth)
-        std::uint32_t bfiWord = 0;  ///< encoded bfi (parity ground truth)
-        bool parity = false;        ///< even parity over all stored words
-        bool valid = true;          ///< cleared by protected-mode recovery
-        bool decodable = true;      ///< replacement words still decode
+    struct Bank {
+        std::vector<Entry> entries;
+        std::uint64_t filter = 0;  ///< OR of pcFilterBit over entries
     };
 
-    static void redecode(std::uint32_t word, Instruction& slot, Stored& e) {
+    static void rebuildFilter(Bank& bank) {
+        bank.filter = 0;
+        for (const Entry& e : bank.entries)
+            bank.filter |= pcFilterBit(e.info.pc);
+    }
+
+    /// The records a fold injects: the taken replacement executes at the
+    /// BTA, the fall-through one at the word after the branch.
+    static void predecode(Entry& e) {
+        e.btiOp = decodeOne(e.info.bti, e.info.bta);
+        e.bfiOp = decodeOne(e.info.bfi, e.info.pc + kInstrBytes);
+    }
+
+    static void redecode(std::uint32_t word, Instruction& slot, Entry& e) {
         try {
             slot = decode(word);
         } catch (const EnsureError&) {
@@ -221,7 +274,7 @@ private:
         }
     }
 
-    [[nodiscard]] static bool computeParity(const Stored& e) {
+    [[nodiscard]] static bool computeParity(const Entry& e) {
         std::uint32_t acc = e.info.pc ^ e.info.bta ^ e.btiWord ^ e.bfiWord;
         acc ^= static_cast<std::uint32_t>(e.info.conditionReg) |
                (static_cast<std::uint32_t>(e.info.cond) << 5);
@@ -235,7 +288,7 @@ private:
 
     std::size_t capacity_;
     std::size_t active_ = 0;
-    std::vector<std::vector<Stored>> banks_;
+    std::vector<Bank> banks_;
 };
 
 }  // namespace asbr

@@ -8,12 +8,17 @@
 // tracking is involved, a static fold can never be blocked: every fetch of
 // the branch folds, which is also why these entries do not occupy BIT slots
 // (the freed slots go to the next-hottest dynamic branches).
+//
+// Like the BIT, the table keeps a 64-bit PC filter (see pcFilterBit) and
+// stores each replacement pre-decoded at its own address.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "asbr/bit.hpp"
 #include "isa/isa.hpp"
+#include "sim/decode_cache.hpp"
 #include "util/ensure.hpp"
 
 namespace asbr {
@@ -29,24 +34,39 @@ struct StaticFoldEntry {
 /// Fully-associative PC-tag match, like the BIT but with constant payloads.
 class StaticFoldTable {
 public:
-    void load(std::vector<StaticFoldEntry> entries) {
+    /// A loaded entry: the replacement decoded at its replacement address.
+    struct Entry {
+        std::uint32_t pc = 0;
+        bool taken = false;
+        DecodedOp replacement;
+    };
+
+    void load(const std::vector<StaticFoldEntry>& entries) {
         for (std::size_t i = 0; i < entries.size(); ++i)
             for (std::size_t j = i + 1; j < entries.size(); ++j)
                 ASBR_ENSURE(entries[i].pc != entries[j].pc,
                             "StaticFoldTable: duplicate branch PC");
-        entries_ = std::move(entries);
+        entries_.clear();
+        filter_ = 0;
+        for (const StaticFoldEntry& e : entries) {
+            entries_.push_back(
+                {e.pc, e.taken, decodeOne(e.replacement, e.replacementPc)});
+            filter_ |= pcFilterBit(e.pc);
+        }
     }
 
-    [[nodiscard]] const StaticFoldEntry* lookup(std::uint32_t pc) const {
-        for (const StaticFoldEntry& e : entries_)
+    /// False means no entry can match `pc`, so lookup() would return null.
+    [[nodiscard]] bool mayMatch(std::uint32_t pc) const {
+        return (filter_ & pcFilterBit(pc)) != 0;
+    }
+
+    [[nodiscard]] const Entry* lookup(std::uint32_t pc) const {
+        for (const Entry& e : entries_)
             if (e.pc == pc) return &e;
         return nullptr;
     }
 
     [[nodiscard]] std::size_t size() const { return entries_.size(); }
-    [[nodiscard]] const std::vector<StaticFoldEntry>& entries() const {
-        return entries_;
-    }
 
     /// Area proxy, per the BIT's accounting: PC tag (30) + direction (1) +
     /// replacement instruction word (32) + replacement address (30).
@@ -55,7 +75,8 @@ public:
     }
 
 private:
-    std::vector<StaticFoldEntry> entries_;
+    std::vector<Entry> entries_;
+    std::uint64_t filter_ = 0;  ///< OR of pcFilterBit over entries
 };
 
 }  // namespace asbr

@@ -65,8 +65,8 @@ struct DecodedOp {
 
 /// Decode one instruction as located at `pc`.  Pure; shared by the cache
 /// fill path and by callers that must decode off-program-text words (the
-/// pipeline decodes customizer-injected fold replacements this way, since a
-/// BTI/BFI replacement is not guaranteed to match the program image).
+/// ASBR tables decode their BTI/BFI fold replacements this way when they are
+/// loaded, since a replacement is not guaranteed to match the program image).
 [[nodiscard]] DecodedOp decodeOne(const Instruction& ins, std::uint32_t pc);
 
 /// Lazily-filled decode cache over one program's text segment, keyed by

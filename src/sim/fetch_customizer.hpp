@@ -5,6 +5,10 @@
 // predictor) and feeds it the register-production events the Early Condition
 // Evaluation phase needs.  The ASBR unit (src/asbr) is the production
 // implementation; tests install scripted fakes.
+//
+// A fold hands the pipeline its replacement as a ready DecodedOp record —
+// decoded when the customization was loaded, at the address the replacement
+// executes at — so the fetch stage never runs the decoder on the fold path.
 #pragma once
 
 #include <cstdint>
@@ -61,14 +65,17 @@ public:
 
     /// Replacement produced by folding a branch out of the fetch slot.
     struct FoldOutcome {
-        Instruction replacement;       ///< BTI or BFI
-        std::uint32_t replacementPc;   ///< address the replacement executes at
-        bool taken = false;            ///< resolved branch direction
+        /// BTI or BFI, decoded at the address it executes at (its `pc`).
+        /// Owned by the customizer; the pipeline copies the record at fetch,
+        /// so later changes to the customizer's tables never reach an op
+        /// already in flight.
+        const DecodedOp* replacement = nullptr;
+        bool taken = false;  ///< resolved branch direction
     };
 
     /// Called for every fetched instruction.  Returning a FoldOutcome removes
     /// the fetched instruction from the stream and injects the replacement;
-    /// the next fetch continues at replacementPc + 4.
+    /// the next fetch continues at the replacement's own fetch successor.
     virtual std::optional<FoldOutcome> onFetch(std::uint32_t pc,
                                                const Instruction& fetched) = 0;
 

@@ -1,5 +1,6 @@
 #include "sim/pipeline.hpp"
 
+#include "sim/customizer_dispatch.hpp"
 #include "util/ensure.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -112,7 +113,9 @@ PipelineSim::PipelineSim(const Program& program, Memory& memory,
       customizer_(customizer),
       icache_(config.icache),
       dcache_(config.dcache),
-      decode_(program) {
+      decode_(program),
+      sites_(program.code.size()),
+      bubble_(decodeOne(Instruction{}, 0)) {
     state_.pc = program_.entry;
     state_.setReg(reg::sp, static_cast<std::int32_t>(kStackTop));
     state_.setReg(reg::gp, static_cast<std::int32_t>(program_.dataBase + 0x8000));
@@ -129,22 +132,48 @@ std::uint32_t PipelineSim::exOccupancy(Op op) const {
     return 1;
 }
 
-void PipelineSim::emitValue(const Slot& slot, ValueStage stage) {
-    if (!customizer_ || !slot.exec.write) return;
-    const ValueStage first =
-        slot.exec.isLoadOp ? ValueStage::kMemEnd : ValueStage::kExEnd;
-    customizer_->onValueAvailable(slot.exec.write->reg, slot.exec.write->value,
-                                  stage, first);
+BranchSiteStats& PipelineSim::siteStats(std::uint32_t pc) {
+    if (program_.inText(pc)) [[likely]]
+        return sites_[(pc - program_.textBase) / kInstrBytes];
+    for (auto& [sitePc, site] : farSites_)
+        if (sitePc == pc) return site;
+    return farSites_.emplace_back(pc, BranchSiteStats{}).second;
 }
 
-void PipelineSim::stageWriteback() {
+PipelineStats PipelineSim::stats() const {
+    PipelineStats out = stats_;
+    // Every site that ever resolved has execs >= 1; untouched slots are not
+    // sites.
+    for (std::size_t i = 0; i < sites_.size(); ++i) {
+        if (sites_[i].execs == 0) continue;
+        out.branchSites.emplace_hint(
+            out.branchSites.end(),
+            program_.textBase + static_cast<std::uint32_t>(i) * kInstrBytes,
+            sites_[i]);
+    }
+    for (const auto& [pc, site] : farSites_) out.branchSites.emplace(pc, site);
+    return out;
+}
+
+template <class C>
+void PipelineSim::emitValue(C& customizer, const Slot& slot, ValueStage stage) {
+    if (!slot.exec.write) return;
+    const ValueStage first =
+        slot.exec.isLoadOp ? ValueStage::kMemEnd : ValueStage::kExEnd;
+    customizer.onValueAvailable(slot.exec.write->reg, slot.exec.write->value,
+                                stage, first);
+}
+
+template <class C>
+void PipelineSim::stageWriteback(C& customizer) {
     if (!memWb_.valid) return;
     ++stats_.committed;
-    emitValue(memWb_, ValueStage::kCommit);
+    emitValue(customizer, memWb_, ValueStage::kCommit);
     memWb_.valid = false;
 }
 
-void PipelineSim::stageMemory() {
+template <class C>
+void PipelineSim::stageMemory(C& customizer) {
     if (!exMem_.valid) return;
     if (!memStarted_) {
         memStarted_ = true;
@@ -160,16 +189,16 @@ void PipelineSim::stageMemory() {
         --memBusy_;
         return;  // stalled; memWb_ is already drained by stageWriteback
     }
-    if (customizer_ && exMem_.exec.isStoreOp) {
-        customizer_->onStore(exMem_.exec.memAddr, exMem_.exec.storeValue);
-    }
-    emitValue(exMem_, ValueStage::kMemEnd);
+    if (exMem_.exec.isStoreOp)
+        customizer.onStore(exMem_.exec.memAddr, exMem_.exec.storeValue);
+    emitValue(customizer, exMem_, ValueStage::kMemEnd);
     memWb_ = exMem_;
     exMem_.valid = false;
     memStarted_ = false;
 }
 
-void PipelineSim::stageExecute() {
+template <class C>
+void PipelineSim::stageExecute(C& customizer) {
     if (!idEx_.valid) return;
     ASBR_ENSURE(!idEx_.outOfText,
                 "executing outside the text segment (runaway control flow)");
@@ -193,7 +222,7 @@ void PipelineSim::stageExecute() {
     if (idEx_.wasFolded) {
         ++stats_.foldedBranches;
         ++stats_.condBranches;
-        BranchSiteStats& site = stats_.branchSites[idEx_.foldOrigin];
+        BranchSiteStats& site = siteStats(idEx_.foldOrigin);
         ++site.execs;
         ++site.folded;
         if (idEx_.foldTaken) ++site.taken;
@@ -205,7 +234,7 @@ void PipelineSim::stageExecute() {
     if (e.isBranch) {
         ++stats_.condBranches;
         ++stats_.predictedBranches;
-        BranchSiteStats& site = stats_.branchSites[idEx_.pc];
+        BranchSiteStats& site = siteStats(idEx_.pc);
         ++site.execs;
         if (e.branchTaken) ++site.taken;
         predictor_.update(idEx_.pc, e.branchTaken, e.branchTarget);
@@ -238,7 +267,7 @@ void PipelineSim::stageExecute() {
         ifId_.valid = false;
     }
 
-    if (!e.isLoadOp) emitValue(idEx_, ValueStage::kExEnd);
+    if (!e.isLoadOp) emitValue(customizer, idEx_, ValueStage::kExEnd);
     exMem_ = idEx_;
     idEx_.valid = false;
     exStarted_ = false;
@@ -258,7 +287,8 @@ void PipelineSim::redirect(std::uint32_t target) {
     redirectStall_ = config_.redirectBubbles;
 }
 
-void PipelineSim::stageDecode() {
+template <class C>
+void PipelineSim::stageDecode(C& customizer) {
     if (!ifId_.valid || flushedThisCycle_ || halting_) return;
     if (idEx_.valid) return;  // EX occupied (multi-cycle op or structural stall)
     if (loadUseHazard_) {
@@ -272,14 +302,13 @@ void PipelineSim::stageDecode() {
             }
         }
     }
-    if (customizer_ && ifId_.dec->writesDest) {
-        customizer_->onProducerDecoded(ifId_.dec->dest);
-    }
+    if (ifId_.dec->writesDest) customizer.onProducerDecoded(ifId_.dec->dest);
     idEx_ = ifId_;
     ifId_.valid = false;
 }
 
-void PipelineSim::stageFetch() {
+template <class C>
+void PipelineSim::stageFetch(C& customizer) {
     if (halting_ || flushedThisCycle_) return;
     if (ifId_.valid) return;  // ID did not drain the latch
     if (redirectStall_ > 0) {
@@ -299,7 +328,7 @@ void PipelineSim::stageFetch() {
         Slot bubble;
         bubble.valid = true;
         bubble.pc = fetchPc_;
-        bubble.dec = inject(decodeOne(Instruction{}, fetchPc_));  // inert nop
+        bubble.dec = &bubble_;  // inert nop
         bubble.predictedNext = fetchPc_ + kInstrBytes;
         bubble.outOfText = true;
         fetchPc_ = bubble.predictedNext;
@@ -327,23 +356,22 @@ void PipelineSim::stageFetch() {
     const DecodedOp& cached = decode_.lookup(fetchPc_);
 
     Slot slot;
-    if (customizer_) {
-        if (const auto fold = customizer_->onFetch(fetchPc_, cached.ins)) {
-            // Accounting happens when the replacement reaches EX — fetches
-            // on a wrong path are squashed and must not count.  The
-            // replacement is decoded fresh: a BTI/BFI injected by the BIT is
-            // not guaranteed to match the program image at replacementPc, so
-            // it must never be served from (or written into) the cache.
-            slot.wasFolded = true;
-            slot.foldOrigin = fetchPc_;
-            slot.foldTaken = fold->taken;
-            slot.dec = inject(decodeOne(fold->replacement, fold->replacementPc));
-        }
-        // A parity recovery inside the customizer costs resync bubbles on
-        // the fetches that follow (the fetched instruction itself proceeds).
-        parityStall_ += customizer_->takeRecoveryStall();
+    slot.dec = &cached;
+    if (const auto fold = customizer.onFetch(fetchPc_, cached.ins)) {
+        // Accounting happens when the replacement reaches EX — fetches on a
+        // wrong path are squashed and must not count.  The replacement's
+        // record comes from the customizer (a BTI/BFI is not guaranteed to
+        // match the program image, so it never touches the decode cache)
+        // and is copied here, so nothing the customizer does later can
+        // change an op in flight.
+        slot.wasFolded = true;
+        slot.foldOrigin = fetchPc_;
+        slot.foldTaken = fold->taken;
+        slot.dec = inject(*fold->replacement);
     }
-    if (!slot.wasFolded) slot.dec = &cached;
+    // A parity recovery inside the customizer costs resync bubbles on the
+    // fetches that follow (the fetched instruction itself proceeds).
+    parityStall_ += customizer.takeRecoveryStall();
 
     slot.valid = true;
     slot.pc = slot.dec->pc;
@@ -406,7 +434,29 @@ void PipelineSim::warmStart(const ArchState& state, IoContext io) {
 }
 
 PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
+    advance(maxCommits);
+    PipelineResult result;
+    result.stats = stats();
+    result.exited = io_.exited;
+    result.exitCode = io_.exitCode;
+    result.output = io_.output;
+    result.finalState = state_;
+    return result;
+}
+
+void PipelineSim::advance(std::uint64_t maxCommits) {
     commitLimit_ = maxCommits == 0 ? 0 : stats_.committed + maxCommits;
+    withCustomizer(customizer_, [this](auto& customizer) {
+        cycleLoop(customizer);
+    });
+    stats_.icache = icache_.stats();
+    stats_.dcache = dcache_.stats();
+    stats_.decodeCacheLookups = decode_.stats().lookups;
+    stats_.decodeCacheHits = decode_.stats().hits();
+}
+
+template <class C>
+void PipelineSim::cycleLoop(C& customizer) {
     while (true) {
         ++stats_.cycles;
         if (stats_.cycles > config_.maxCycles)
@@ -421,11 +471,11 @@ PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
         loadUseHazard_ = idEx_.valid && idEx_.dec->load;
         hazardReg_ = loadUseHazard_ ? idEx_.dec->ins.rd : reg::zero;
 
-        stageWriteback();
-        stageMemory();
-        stageExecute();
-        stageDecode();
-        stageFetch();
+        stageWriteback(customizer);
+        stageMemory(customizer);
+        stageExecute(customizer);
+        stageDecode(customizer);
+        stageFetch(customizer);
 
 #ifdef ASBR_TRACING
         if (config_.tracer != nullptr && config_.tracer->wants(stats_.cycles))
@@ -442,20 +492,8 @@ PipelineResult PipelineSim::run(std::uint64_t maxCommits) {
         }
         if ((io_.exited || halting_) && !idEx_.valid && !exMem_.valid &&
             !memWb_.valid)
-            break;
+            return;
     }
-
-    PipelineResult result;
-    stats_.icache = icache_.stats();
-    stats_.dcache = dcache_.stats();
-    stats_.decodeCacheLookups = decode_.stats().lookups;
-    stats_.decodeCacheHits = decode_.stats().hits();
-    result.stats = stats_;
-    result.exited = io_.exited;
-    result.exitCode = io_.exitCode;
-    result.output = io_.output;
-    result.finalState = state_;
-    return result;
 }
 
 }  // namespace asbr

@@ -16,16 +16,26 @@
 //
 // Fetch is served by a decode cache (sim/decode_cache.hpp): each text PC is
 // decoded once into a DecodedOp micro-op record and every later fetch of the
-// same address reuses it.  Customizer-injected fold replacements are decoded
-// on the fly instead — a BTI/BFI is not guaranteed to match the program
-// image — so the cache can never leak a stale or wrong record into the
-// fold path.  The cache affects host speed only, never simulated timing.
+// same address reuses it.  Customizer-injected fold replacements arrive as
+// records the customizer decoded when it was loaded — a BTI/BFI is not
+// guaranteed to match the program image, so they never go through (or into)
+// the cache — and are copied into a small ring at fetch.
+//
+// Host-speed structure (docs/simulation.md, "Host-speed structure"): the
+// stages are templates over the customizer type, and each run picks the type
+// once — AsbrUnit (final, so its hooks inline), the generic virtual
+// FetchCustomizer, or none (all hook code compiles away).  Per-site branch
+// counts live in a dense array indexed by text word; the PipelineStats
+// per-site map is built from it only when statistics are read.  None of this
+// changes simulated timing.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "asm/program.hpp"
 #include "bp/predictor.hpp"
@@ -172,8 +182,13 @@ public:
     /// pipeline drains in-flight work, so the actual count may overshoot by
     /// the pipeline depth).  Throws SimTimeoutError if config.maxCycles is
     /// exceeded.  Cycle/commit counters accumulate across calls; after a
-    /// bounded run, resume with warmStart() + run().
+    /// bounded run, resume with warmStart() + run().  Returns the result so
+    /// far: advance() followed by a snapshot of stats(), state and I/O.
     PipelineResult run(std::uint64_t maxCommits = 0);
+
+    /// run() without building a result — for callers that step a simulator
+    /// through many bounded runs and read counters() in between.
+    void advance(std::uint64_t maxCommits = 0);
 
     /// Re-arm a drained simulator to resume execution from `state` with I/O
     /// context `io`: clears latches and transient stall state, sets the
@@ -183,9 +198,13 @@ public:
     /// functional fast-forward.
     void warmStart(const ArchState& state, IoContext io);
 
-    /// Cumulative statistics so far (valid between run() calls; cache-stat
-    /// snapshots are refreshed at the end of each run() call).
-    [[nodiscard]] const PipelineStats& stats() const { return stats_; }
+    /// Cumulative counters so far (valid between run() calls; cache-stat
+    /// snapshots are refreshed at the end of each run() call).  The per-site
+    /// map `branchSites` stays empty here; stats() builds it.
+    [[nodiscard]] const PipelineStats& counters() const { return stats_; }
+    /// Cumulative statistics including the per-site map, built from the
+    /// dense per-site counters on each call.
+    [[nodiscard]] PipelineStats stats() const;
     /// Architectural state after the last run() call.
     [[nodiscard]] const ArchState& archState() const { return state_; }
     /// I/O context accumulated so far.
@@ -195,11 +214,11 @@ private:
     struct Slot {
         bool valid = false;
         std::uint32_t pc = 0;
-        /// Pre-decoded micro-op.  Points either into the decode cache (whose
-        /// slots are sized once at bind() and filled in place, so records
-        /// never move) or into injected_ for customizer replacements and
-        /// out-of-text bubbles.  A pointer keeps the per-cycle latch copies
-        /// at one word instead of a full DecodedOp.
+        /// Pre-decoded micro-op.  Points into the decode cache (whose slots
+        /// are sized once at bind() and filled in place, so records never
+        /// move), into injected_ for customizer replacements, or at bubble_
+        /// for out-of-text bubbles.  A pointer keeps the per-cycle latch
+        /// copies at one word instead of a full DecodedOp.
         const DecodedOp* dec = nullptr;
         std::uint32_t predictedNext = 0;
         bool wasPredicted = false;   ///< predictor consulted in IF
@@ -210,20 +229,34 @@ private:
         StepResult exec;             ///< filled when entering EX
     };
 
-    /// Store a freshly-decoded record (fold replacement or out-of-text
-    /// bubble) in the injected-op ring and return its stable address.  At
-    /// most one injection per fetch and at most five slots in flight, so a
-    /// ring of eight can never overwrite a live record.
+    /// Copy a customizer's fold replacement into the injected-op ring and
+    /// return its stable address.  At most one injection per fetch and at
+    /// most five slots in flight, so a ring of eight can never overwrite a
+    /// live record.
     const DecodedOp* inject(const DecodedOp& dec);
 
-    void redirect(std::uint32_t target);
-    void stageWriteback();
-    void stageMemory();
-    void stageExecute();
-    void stageDecode();
-    void stageFetch();
+    /// Per-site counters of the branch executing at `pc`.
+    BranchSiteStats& siteStats(std::uint32_t pc);
 
-    void emitValue(const Slot& slot, ValueStage stage);
+    void redirect(std::uint32_t target);
+
+    // The stages and the cycle loop, instantiated per customizer type
+    // (pipeline.cpp; see the file comment).  Left to itself GCC inlines the
+    // stages into one instantiation's loop only; forcing these keeps the
+    // AsbrUnit loop from paying a call per stage and three per produced
+    // value.
+    template <class C> void cycleLoop(C& customizer);
+    template <class C> void stageWriteback(C& customizer);
+    template <class C> void stageMemory(C& customizer);
+    template <class C>
+    [[gnu::always_inline]] inline void stageExecute(C& customizer);
+    template <class C> void stageDecode(C& customizer);
+    template <class C>
+    [[gnu::always_inline]] inline void stageFetch(C& customizer);
+    template <class C>
+    [[gnu::always_inline]] inline void emitValue(C& customizer,
+                                                 const Slot& slot,
+                                                 ValueStage stage);
     [[nodiscard]] std::uint32_t exOccupancy(Op op) const;
     void traceLatches();  ///< record end-of-cycle stage occupancy (tracing)
 
@@ -238,11 +271,19 @@ private:
     DecodeCache decode_;  ///< per-PC micro-op records; filled lazily
     ArchState state_;
     IoContext io_;
-    PipelineStats stats_;
+    PipelineStats stats_;  ///< counters; branchSites is built by stats()
+    /// Per-site counters, one slot per text word.  A site outside the text
+    /// segment — reachable only through a fold replacement placed there by
+    /// corrupted customization data — goes to the short farSites_ list.
+    std::vector<BranchSiteStats> sites_;
+    std::vector<std::pair<std::uint32_t, BranchSiteStats>> farSites_;
 
     Slot ifId_, idEx_, exMem_, memWb_;
-    std::array<DecodedOp, 8> injected_{};  ///< ring backing injected decodes
+    std::array<DecodedOp, 8> injected_{};  ///< ring backing fold replacements
     std::uint32_t injectedIdx_ = 0;
+    /// The record behind every out-of-text bubble: an inert nop.  Bubbles
+    /// never execute (EX rejects them), so its address fields are unused.
+    DecodedOp bubble_;
     std::uint64_t commitLimit_ = 0;  ///< absolute committed-count bound (0 = none)
     std::uint32_t fetchPc_ = 0;
     std::uint32_t ifBusy_ = 0;   ///< remaining I-cache miss stall cycles

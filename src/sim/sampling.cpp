@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "asbr/asbr_unit.hpp"
+#include "sim/customizer_dispatch.hpp"
 #include "util/ensure.hpp"
 #include "util/metrics.hpp"
 
@@ -13,9 +13,10 @@ namespace {
 /// One fast-forward burst: decode-cached functional execution with the
 /// customizer fed the exact event stream the pipeline would emit
 /// (replayArchStep via the batched onArchStep hook).  Templated on the
-/// concrete customizer type so that for the common AsbrUnit case every hook
-/// body inlines into the loop — the replay then costs a couple of table
-/// writes per instruction instead of a chain of virtual calls.
+/// concrete customizer type (withCustomizer) so that for the common AsbrUnit
+/// case every hook body inlines into the loop — the replay then costs a
+/// couple of table writes per instruction instead of a chain of virtual
+/// calls — and a run without a customizer replays nothing.
 template <class Customizer>
 std::uint64_t fastForwardBurst(Customizer& customizer, DecodeCache& cache,
                                ArchState& state, Memory& memory, IoContext& io,
@@ -84,15 +85,15 @@ SampledResult runSampled(const Program& program, Memory& memory,
         // warm across the whole run.
         sim.warmStart(state, io);
         if (sampling.warmup > 0) {
-            sim.run(sampling.warmup);
+            sim.advance(sampling.warmup);
             sim.warmStart(sim.archState(), sim.io());
         }
-        const std::uint64_t preCycles = sim.stats().cycles;
-        const std::uint64_t preCommitted = sim.stats().committed;
-        if (!sim.io().exited) sim.run(sampling.measure);
+        const std::uint64_t preCycles = sim.counters().cycles;
+        const std::uint64_t preCommitted = sim.counters().committed;
+        if (!sim.io().exited) sim.advance(sampling.measure);
         const std::uint64_t windowInstructions =
-            sim.stats().committed - preCommitted;
-        const std::uint64_t windowCycles = sim.stats().cycles - preCycles;
+            sim.counters().committed - preCommitted;
+        const std::uint64_t windowCycles = sim.counters().cycles - preCycles;
         state = sim.archState();
         io = sim.io();
         if (windowInstructions > 0) {
@@ -104,27 +105,16 @@ SampledResult runSampled(const Program& program, Memory& memory,
         }
         if (io.exited) break;
 
-        // Fast-forward between detailed windows.  The AsbrUnit case gets a
-        // fully inlined replay loop; any other customizer goes through the
-        // virtual onArchStep hook; the bare loop skips replay entirely.
-        std::uint64_t skipped = 0;
-        if (auto* unit = dynamic_cast<AsbrUnit*>(customizer)) {
-            skipped = fastForwardBurst(*unit, fastForward, state, memory, io,
-                                       sampling.skip);
-        } else if (customizer != nullptr) {
-            skipped = fastForwardBurst(*customizer, fastForward, state, memory,
-                                       io, sampling.skip);
-        } else {
-            while (skipped < sampling.skip && !io.exited) {
-                stepDecoded(state, memory, fastForward.lookup(state.pc), io);
-                ++skipped;
-            }
-        }
-        out.fastForwardInstructions += skipped;
+        // Fast-forward between detailed windows.
+        out.fastForwardInstructions +=
+            withCustomizer(customizer, [&](auto& c) {
+                return fastForwardBurst(c, fastForward, state, memory, io,
+                                        sampling.skip);
+            });
     }
 
     // Cumulative detailed-window stats; the cache/decode-cache snapshot
-    // fields were refreshed when the last run() call returned.
+    // fields were refreshed when the last advance() call returned.
     out.stats = sim.stats();
     out.totalInstructions = out.stats.committed + out.fastForwardInstructions;
     out.exited = io.exited;

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace asbr {
 
@@ -61,8 +62,14 @@ public:
 namespace detail {
 [[noreturn]] inline void ensureFail(const char* expr, const char* file, int line,
                                     const std::string& msg) {
+    // Name library files from the tree's src/ on, so a message (and the
+    // fault-report goldens that record them) does not depend on where the
+    // tree was checked out.
+    std::string_view where(file);
+    if (const auto at = where.rfind("/src/"); at != std::string_view::npos)
+        where.remove_prefix(at + 1);
     std::ostringstream os;
-    os << "ASBR_ENSURE failed: (" << expr << ") at " << file << ':' << line;
+    os << "ASBR_ENSURE failed: (" << expr << ") at " << where << ':' << line;
     if (!msg.empty()) os << " — " << msg;
     throw EnsureError(os.str());
 }

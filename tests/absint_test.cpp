@@ -419,7 +419,7 @@ target: addiu s2, s2, 2
     const auto fold = unit.onFetch(pc, p.at(pc));
     ASSERT_TRUE(fold.has_value());
     EXPECT_TRUE(fold->taken);
-    EXPECT_EQ(fold->replacementPc, p.symbol("target"));
+    EXPECT_EQ(fold->replacement->pc, p.symbol("target"));
     EXPECT_EQ(unit.stats().staticFolds, 1u);
     EXPECT_EQ(unit.stats().folds, 1u);
     EXPECT_EQ(unit.stats().blockedInvalid, 0u);

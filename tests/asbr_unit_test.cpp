@@ -2,12 +2,15 @@
 // folding semantics inside the pipeline.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "asbr/asbr_unit.hpp"
 #include "asbr/extract.hpp"
 #include "asm/assembler.hpp"
 #include "bp/predictor.hpp"
 #include "bp/bimodal.hpp"
 #include "bp/static_predictors.hpp"
+#include "isa/encoding.hpp"
 #include "mem/memory.hpp"
 #include "sim/functional.hpp"
 #include "sim/pipeline.hpp"
@@ -420,6 +423,103 @@ TEST(AsbrUnitTest, MismatchedBitEntryThrows) {
     unit.loadBank(0, {bogus});
     PipelineSim sim(p, mem, bp, perfectCaches(), &unit);
     EXPECT_THROW(sim.run(), EnsureError);
+}
+
+TEST(AsbrUnitTest, EntriesAliasingInThePcFilterBothFold) {
+    // Branches a and b sit exactly 64 words apart, so they share one bit of
+    // the BIT's PC filter; the filter must only ever skip the scan, never
+    // hide a second entry behind the first.
+    std::string src = R"(
+main:   li   s0, 20
+loop:   addiu s0, s0, -1
+        addiu t1, t1, 1
+        addiu t2, t2, 1
+a:      beqz s0, out
+)";
+    for (int i = 0; i < 63; ++i) src += "        addiu t3, t3, 1\n";
+    src += "b:      bnez s0, loop\nout:    nop\n";
+    src += kExit;
+    const Program p = assemble(src);
+    const std::uint32_t a = p.symbol("a");
+    const std::uint32_t b = p.symbol("b");
+    ASSERT_EQ(b - a, 64u * kInstrBytes);
+    ASSERT_EQ(pcFilterBit(a), pcFilterBit(b));
+
+    const RunOutcome o = runWithAsbr(src, {a, b}, ValueStage::kMemEnd);
+    const auto& sites = o.withAsbr.stats.branchSites;
+    ASSERT_TRUE(sites.contains(a) && sites.contains(b));
+    EXPECT_EQ(sites.at(a).folded, 20u);
+    EXPECT_EQ(sites.at(b).folded, 19u);
+    EXPECT_EQ(o.asbr.folds, 39u);
+}
+
+TEST(AsbrUnitTest, PcFlipOntoNonBranchStillThrowsMismatch) {
+    // A soft error moves an entry's PC tag onto the non-branch word before
+    // its branch.  The fetch of that word must hit the entry — the filter is
+    // rebuilt on the flip — and trip the mismatch check, as fault campaigns
+    // expect, rather than silently missing.
+    const Program p = assemble(R"(
+main:   addiu s0, s0, -1
+        bnez  s0, target
+        addiu t1, t1, 1
+        nop
+target: addiu t2, t2, 2
+        nop
+    )");
+    const std::uint32_t branchPc = kTextBase + 4;
+    AsbrUnit unit;
+    unit.loadBank(0, {extractBranchInfo(p, branchPc)});
+    unit.bitFaultPort().flipEntryBit(0, 0, BitField::kPc, 2);
+    const std::uint32_t flipped = branchPc ^ 4u;
+    ASSERT_EQ(flipped, kTextBase);
+    ASSERT_NE(pcFilterBit(flipped), pcFilterBit(branchPc));
+    try {
+        (void)unit.onFetch(flipped, p.at(flipped));
+        ADD_FAILURE() << "fetch through the flipped entry did not throw";
+    } catch (const EnsureError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "BIT entry does not match the fetched instruction"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The branch's own PC no longer matches any entry.
+    EXPECT_FALSE(unit.onFetch(branchPc, p.at(branchPc)).has_value());
+}
+
+TEST(AsbrUnitTest, BtiFlipRederivesTheFoldRecord) {
+    const Program p = assemble(R"(
+main:   addiu s0, s0, -1
+        bnez  s0, target
+        addiu t1, t1, 1
+        nop
+target: addiu t2, t2, 2
+        nop
+    )");
+    const std::uint32_t branchPc = kTextBase + 4;
+    const BranchInfo info = extractBranchInfo(p, branchPc);
+    AsbrUnit unit;
+    unit.loadBank(0, {info});
+    // Bit 0 is the immediate's low bit: the word still decodes, to a
+    // different instruction.
+    const std::uint32_t word = encode(info.bti) ^ 1u;
+    const DecodedOp expected = decodeOne(decode(word), info.bta);
+    ASSERT_NE(expected.ins, info.bti);
+    unit.bitFaultPort().flipEntryBit(0, 0, BitField::kBti, 0);
+
+    // s0 = -1: the bnez folds taken, injecting the (flipped) BTI.
+    unit.onProducerDecoded(reg::s0);
+    unit.onValueAvailable(reg::s0, -1, ValueStage::kMemEnd, ValueStage::kExEnd);
+    const auto fold = unit.onFetch(branchPc, p.at(branchPc));
+    ASSERT_TRUE(fold.has_value());
+    ASSERT_TRUE(fold->taken);
+    const DecodedOp& got = *fold->replacement;
+    EXPECT_EQ(got.ins, expected.ins);
+    EXPECT_EQ(got.pc, expected.pc);
+    EXPECT_EQ(got.cls, expected.cls);
+    EXPECT_EQ(got.dest, expected.dest);
+    EXPECT_EQ(got.writesDest, expected.writesDest);
+    EXPECT_EQ(got.fetchNext, expected.fetchNext);
+    EXPECT_EQ(got.target, expected.target);
 }
 
 TEST(AsbrUnitTest, StorageCostBelowGeneralPurposePredictor) {

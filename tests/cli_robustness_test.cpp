@@ -337,6 +337,16 @@ INSTANTIATE_TEST_SUITE_P(
         BadNumber{"asbr-verify", "wcet --bench=adpcm-enc --samples=-5", "-5"},
         BadNumber{"asbr-verify", "analyze --bench=adpcm-enc --threshold=3x",
                   "3x"},
+        // --threshold is range-checked (2..4) on its full value: no wrap
+        // into range through a 32-bit narrowing, no internal check firing.
+        BadNumber{"asbr-verify", "wcet --bench=adpcm-enc --threshold=4294967298",
+                  "4294967298"},
+        BadNumber{"asbr-verify",
+                  "analyze --bench=adpcm-enc --threshold=4294967299",
+                  "4294967299"},
+        BadNumber{"asbr-verify", "analyze --bench=adpcm-enc --threshold=7",
+                  "7"},
+        BadNumber{"asbr-verify", "prog.s --threshold=1", "1"},
         BadNumber{"asbr-verify", "prog.s --bit=sixteen", "sixteen"}));
 
 TEST_P(CliRobustnessTest, HelpMentionsDurabilityFlags) {

@@ -137,7 +137,7 @@ TEST(BitParityTest, FreshBankPassesProtectedLookup) {
     BranchIdentificationTable bit(4);
     bit.loadBank(0, oneEntry());
     bool recovered = true;
-    const BranchInfo* e = bit.lookupProtected(kTextBase + 12, recovered);
+    const auto* e = bit.lookupProtected(kTextBase + 12, recovered);
     ASSERT_NE(e, nullptr);
     EXPECT_FALSE(recovered);
 }

@@ -93,8 +93,7 @@ loop:   addiu t0, t0, -1
 // loop would terminate after one pass.
 struct OneShotBtiFold final : FetchCustomizer {
     std::uint32_t branchPc = 0;
-    Instruction replacement{};
-    std::uint32_t replacementPc = 0;
+    DecodedOp replacement{};  ///< BTI decoded at its own address
     bool armed = true;
     int folds = 0;
 
@@ -103,7 +102,7 @@ struct OneShotBtiFold final : FetchCustomizer {
         if (pc != branchPc || !armed) return std::nullopt;
         armed = false;
         ++folds;
-        return FoldOutcome{replacement, replacementPc, true};
+        return FoldOutcome{&replacement, true};
     }
     void onProducerDecoded(std::uint8_t) override {}
     void onValueAvailable(std::uint8_t, std::int32_t, ValueStage,
@@ -126,8 +125,7 @@ loop:   addiu t1, t1, 2
     const std::uint32_t loop = p.symbol("loop");
     OneShotBtiFold fold;
     fold.branchPc = loop + 8;  // the bnez
-    fold.replacement = p.at(loop);
-    fold.replacementPc = loop;
+    fold.replacement = decodeOne(p.at(loop), loop);
 
     Memory mem;
     mem.loadProgram(p);
@@ -148,13 +146,14 @@ loop:   addiu t1, t1, 2
 // one cache slot, with the architectural result of the unfolded run.
 struct EveryFetchNopFold final : FetchCustomizer {
     std::uint32_t branchPc = 0;
+    DecodedOp nop{};  ///< a nop decoded at branchPc
     int folds = 0;
 
     std::optional<FoldOutcome> onFetch(std::uint32_t pc,
                                        const Instruction&) override {
         if (pc != branchPc) return std::nullopt;
         ++folds;
-        return FoldOutcome{Instruction{}, pc, false};
+        return FoldOutcome{&nop, false};
     }
     void onProducerDecoded(std::uint8_t) override {}
     void onValueAvailable(std::uint8_t, std::int32_t, ValueStage,
@@ -181,6 +180,7 @@ done:   move a0, t1
 
     EveryFetchNopFold fold;
     fold.branchPc = p.symbol("loop");
+    fold.nop = decodeOne(Instruction{}, fold.branchPc);
     Memory mem;
     mem.loadProgram(p);
     auto bp = makeBimodal2048();

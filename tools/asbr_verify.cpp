@@ -17,6 +17,7 @@
 //   asbr-verify analyze --bench=adpcm-enc --out=report.json
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -89,6 +90,19 @@ constexpr const char* kTool = "asbr-verify";
         "docs/robustness.md.\n",
         code == 0 ? stdout : stderr);
     std::exit(code);
+}
+
+/// "--threshold=N": the fold-distance threshold, 2, 3 or 4 (one per value
+/// capture stage).  nullopt when `arg` is another flag; any other N is a bad
+/// command line (exit 2, one line).  Range-checked on the full 64-bit value,
+/// so no out-of-range N can wrap into range.
+std::optional<std::uint32_t> thresholdArg(const std::string& arg) {
+    const auto v = driver::numArg(arg, "--threshold=", kTool);
+    if (!v) return std::nullopt;
+    if (*v < 2 || *v > 4)
+        driver::cliFail(kTool, "bad --threshold value '" + arg.substr(12) +
+                                   "' (want 2, 3 or 4)");
+    return static_cast<std::uint32_t>(*v);
 }
 
 /// Compile/assemble `path` (.s/.asm = assembly, anything else = mcc C).
@@ -171,8 +185,8 @@ int cmdAnalyze(int argc, char** argv) {
             benchToken = arg.substr(8);
         else if (arg.rfind("--out=", 0) == 0)
             outPath = arg.substr(6);
-        else if (const auto v = driver::numArg(arg, "--threshold=", kTool))
-            threshold = static_cast<std::uint32_t>(*v);
+        else if (const auto v = thresholdArg(arg))
+            threshold = *v;
         else if (arg.rfind("--dump-cfg=", 0) == 0)
             dumpCfgPath = arg.substr(11);
         else if (arg == "--no-schedule") schedule = false;
@@ -290,8 +304,8 @@ int cmdWcet(int argc, char** argv) {
             benchToken = arg.substr(8);
         else if (arg.rfind("--out=", 0) == 0)
             outPath = arg.substr(6);
-        else if (const auto v = driver::numArg(arg, "--threshold=", kTool))
-            threshold = static_cast<std::uint32_t>(*v);
+        else if (const auto v = thresholdArg(arg))
+            threshold = *v;
         else if (const auto v = driver::numArg(arg, "--seed=", kTool))
             seed = *v;
         else if (const auto v = driver::numArg(arg, "--samples=", kTool))
@@ -318,10 +332,6 @@ int cmdWcet(int argc, char** argv) {
         std::fprintf(stderr,
                      "asbr-verify wcet: need exactly one of <file> or "
                      "--bench=B\n");
-        return 2;
-    }
-    if (threshold < 2 || threshold > 4) {
-        std::fprintf(stderr, "asbr-verify wcet: threshold must be 2, 3 or 4\n");
         return 2;
     }
 
@@ -743,8 +753,8 @@ int main(int argc, char** argv) {
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (const auto v = driver::numArg(arg, "--threshold=", kTool))
-            threshold = static_cast<std::uint32_t>(*v);
+        if (const auto v = thresholdArg(arg))
+            threshold = *v;
         else if (const auto v = driver::numArg(arg, "--bit=", kTool))
             ways = *v;
         else if (const auto v = driver::numArg(arg, "--sets=", kTool))

@@ -108,175 +108,4 @@ std::optional<FaultOutcome> faultOutcomeFromName(const std::string& name) {
     return std::nullopt;
 }
 
-ReportValidation validateFaultReportJson(const JsonValue& doc) {
-    ReportValidation out;
-    const auto fail = [&out](std::string message) {
-        out.errors.push_back(std::move(message));
-    };
-    if (!doc.isObject()) {
-        fail("fault_report: not a JSON object");
-        return out;
-    }
-    const auto member = [&](const JsonValue& obj, const char* key,
-                            const char* context) -> const JsonValue* {
-        const JsonValue* v = obj.find(key);
-        if (v == nullptr)
-            fail(std::string(context) + ": missing required member '" + key +
-                 "'");
-        return v;
-    };
-
-    if (const JsonValue* schema = member(doc, "schema", "fault_report"))
-        if (!schema->isString() || schema->asString() != kFaultReportSchema)
-            fail(std::string("fault_report: schema is not '") +
-                 kFaultReportSchema + "'");
-    if (const JsonValue* version = member(doc, "version", "fault_report"))
-        if (!version->isNumber() || version->asUint() != kFaultReportVersion)
-            fail("fault_report: unsupported schema version (want " +
-                 std::to_string(kFaultReportVersion) + ")");
-
-    if (const JsonValue* meta = member(doc, "meta", "fault_report")) {
-        if (!meta->isObject()) {
-            fail("fault_report: meta is not an object");
-        } else {
-            for (const char* key : {"benchmark", "predictor", "update_stage"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isString())
-                    fail(std::string("fault_report: meta.") + key +
-                         " missing or not a string");
-            }
-            for (const char* key : {"seed", "samples", "bit_entries"}) {
-                const JsonValue* v = meta->find(key);
-                if (v == nullptr || !v->isNumber())
-                    fail(std::string("fault_report: meta.") + key +
-                         " missing or not a number");
-            }
-            const JsonValue* prot = meta->find("protected");
-            if (prot == nullptr || !prot->isBool())
-                fail("fault_report: meta.protected missing or not a bool");
-        }
-    }
-
-    std::uint64_t campaignInjections = 0;
-    bool campaignOk = false;
-    if (const JsonValue* campaign = member(doc, "campaign", "fault_report")) {
-        if (!campaign->isObject()) {
-            fail("fault_report: campaign is not an object");
-        } else {
-            campaignOk = true;
-            for (const char* key :
-                 {"fault_seed", "injections", "max_cycle_factor",
-                  "clean_cycles"}) {
-                const JsonValue* v = campaign->find(key);
-                if (v == nullptr || !v->isNumber()) {
-                    fail(std::string("fault_report: campaign.") + key +
-                         " missing or not a number");
-                    campaignOk = false;
-                }
-            }
-            if (campaignOk)
-                campaignInjections = campaign->find("injections")->asUint();
-            if (const JsonValue* targets =
-                    member(*campaign, "targets", "fault_report: campaign"))
-                if (!targets->isObject())
-                    fail("fault_report: campaign.targets is not an object");
-        }
-    }
-
-    std::uint64_t outcomeSum = 0;
-    bool outcomesOk = false;
-    if (const JsonValue* outcomes = member(doc, "outcomes", "fault_report")) {
-        if (!outcomes->isObject()) {
-            fail("fault_report: outcomes is not an object");
-        } else {
-            outcomesOk = true;
-            for (std::size_t o = 0; o < kNumFaultOutcomes; ++o) {
-                const char* name = faultOutcomeName(static_cast<FaultOutcome>(o));
-                const JsonValue* v = outcomes->find(name);
-                if (v == nullptr || !v->isNumber()) {
-                    fail(std::string("fault_report: outcomes.") + name +
-                         " missing or not a number");
-                    outcomesOk = false;
-                } else {
-                    outcomeSum += v->asUint();
-                }
-            }
-        }
-    }
-
-    std::size_t injectionCount = 0;
-    if (const JsonValue* injections = member(doc, "injections", "fault_report")) {
-        if (!injections->isArray()) {
-            fail("fault_report: injections is not an array");
-        } else {
-            injectionCount = injections->asArray().size();
-            std::size_t index = 0;
-            for (const JsonValue& record : injections->asArray()) {
-                const std::string context =
-                    "fault_report: injections[" + std::to_string(index) + "]";
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    ++index;
-                    continue;
-                }
-                try {
-                    (void)injectionRecordFromJson(record);
-                } catch (const EnsureError& e) {
-                    fail(context + ": " + e.what());
-                }
-                ++index;
-            }
-            // Cross-field consistency: the histogram must account for every
-            // injected run, no more, no less.
-            if (outcomesOk && outcomeSum != injectionCount)
-                fail("fault_report: outcome counts do not sum to the number "
-                     "of injections");
-        }
-    }
-
-    if (const JsonValue* failed = member(doc, "failed_jobs", "fault_report")) {
-        if (!failed->isArray()) {
-            fail("fault_report: failed_jobs is not an array");
-        } else {
-            std::size_t index = 0;
-            for (const JsonValue& record : failed->asArray()) {
-                const std::string context =
-                    "fault_report: failed_jobs[" + std::to_string(index) + "]";
-                if (!record.isObject()) {
-                    fail(context + " is not an object");
-                    ++index;
-                    continue;
-                }
-                for (const char* key : {"index", "cycle", "attempts"}) {
-                    const JsonValue* v = record.find(key);
-                    if (v == nullptr || !v->isNumber())
-                        fail(context + "." + key + " missing or not a number");
-                }
-                const JsonValue* error = record.find("error");
-                if (error == nullptr || !error->isString())
-                    fail(context + ".error missing or not a string");
-                if (const JsonValue* site = record.find("site")) {
-                    try {
-                        (void)faultSiteFromJson(*site);
-                    } catch (const EnsureError& e) {
-                        fail(context + ".site: " + e.what());
-                    }
-                } else {
-                    fail(context + ": missing required member 'site'");
-                }
-                ++index;
-            }
-            // Classified + quarantined must cover the configured campaign:
-            // reports are only written for complete (possibly degraded)
-            // campaigns, never for interrupted ones.
-            if (campaignOk &&
-                injectionCount + failed->asArray().size() !=
-                    campaignInjections)
-                fail("fault_report: injections + failed_jobs do not cover "
-                     "campaign.injections");
-        }
-    }
-    return out;
-}
-
 }  // namespace asbr

@@ -24,6 +24,7 @@
 #include "bench_util.hpp"
 #include "fault/campaign.hpp"
 #include "report/fault_report.hpp"
+#include "report/schema.hpp"
 
 using namespace asbr;
 using namespace asbr::bench;
@@ -369,12 +370,13 @@ int cmdReplay(int argc, char** argv) {
 int cmdValidate(const char* path) {
     const auto doc = loadFaultReport(path);
     if (!doc) return 1;
-    const ReportValidation validation = validateFaultReportJson(*doc);
+    const ReportSchema& kind = *findReportSchema(kFaultReportSchema);
+    const ReportValidation validation = kind.validate(*doc);
     for (const std::string& error : validation.errors)
         std::fprintf(stderr, "%s: %s\n", path, error.c_str());
     if (!validation.ok()) return 1;
-    std::printf("%s: valid %s v%llu document\n", path, kFaultReportSchema,
-                static_cast<unsigned long long>(kFaultReportVersion));
+    std::printf("%s: valid %s v%llu document\n", path, kind.id,
+                static_cast<unsigned long long>(kind.version));
     return 0;
 }
 

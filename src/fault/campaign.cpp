@@ -124,7 +124,7 @@ InjectionRecord runInjection(const FaultRunFactory& factory,
         // invariant) stopped the machine: detected, but not survivable.
         record.outcome = FaultOutcome::kDetectedAborted;
         record.recoveries = run.unit->stats().parityRecoveries;
-        record.detail = e.what();
+        record.detail = e.withoutLocation();
     }
     return record;
 }

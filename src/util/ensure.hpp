@@ -17,6 +17,24 @@ namespace asbr {
 class EnsureError : public std::logic_error {
 public:
     explicit EnsureError(const std::string& what) : std::logic_error(what) {}
+    /// `what` names the failing check's source location in the
+    /// `locationSize` characters from `locationAt` (ASBR_ENSURE's " at
+    /// <file>:<line>").
+    EnsureError(const std::string& what, std::size_t locationAt,
+                std::size_t locationSize)
+        : std::logic_error(what),
+          locationAt_(locationAt),
+          locationSize_(locationSize) {}
+
+    /// what() without the source location, so a record that keeps it (a
+    /// fault report's `detail`) does not change when code moves.
+    [[nodiscard]] std::string withoutLocation() const {
+        return std::string(what()).erase(locationAt_, locationSize_);
+    }
+
+private:
+    std::size_t locationAt_ = 0;
+    std::size_t locationSize_ = 0;
 };
 
 /// Thrown when a simulation exceeds its cycle/instruction watchdog bound.
@@ -69,9 +87,12 @@ namespace detail {
     if (const auto at = where.rfind("/src/"); at != std::string_view::npos)
         where.remove_prefix(at + 1);
     std::ostringstream os;
-    os << "ASBR_ENSURE failed: (" << expr << ") at " << where << ':' << line;
+    os << "ASBR_ENSURE failed: (" << expr << ")";
+    const std::size_t locationAt = os.str().size();
+    os << " at " << where << ':' << line;
+    const std::size_t locationSize = os.str().size() - locationAt;
     if (!msg.empty()) os << " — " << msg;
-    throw EnsureError(os.str());
+    throw EnsureError(os.str(), locationAt, locationSize);
 }
 }  // namespace detail
 

@@ -20,6 +20,21 @@ TEST(EnsureTest, PassesAndThrows) {
     }
 }
 
+TEST(EnsureTest, WithoutLocationDropsOnlyTheFileAndLine) {
+    try {
+        ASBR_ENSURE(1 + 1 == 3, "arithmetic");
+        FAIL() << "expected EnsureError";
+    } catch (const EnsureError& e) {
+        EXPECT_EQ(e.withoutLocation(),
+                  "ASBR_ENSURE failed: (1 + 1 == 3) — arithmetic");
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("ASBR_ENSURE failed: (1 + 1 == 3) at ", 0), 0u);
+        EXPECT_NE(what.find("util_test.cpp:"), std::string::npos);
+    }
+    // Errors not raised by ASBR_ENSURE carry no location to drop.
+    EXPECT_EQ(SimTimeoutError("watchdog").withoutLocation(), "watchdog");
+}
+
 TEST(RngTest, DeterministicStreams) {
     Xorshift64 a(42), b(42), c(43);
     for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());

@@ -14,9 +14,11 @@
 #      abort the grid; and the same kill-and-resume must hold for an
 #      asbr-faults campaign.
 #
-# The kill is timed to land mid-simulation: the sweep gets enough samples to
-# run for several seconds, and the journal is required to be non-empty but
-# incomplete at the moment of death (otherwise the test degenerates).
+# The kill follows progress, not wall time: the journal is polled every
+# 5 ms and the run is SIGKILL'd as soon as its first job is recorded done,
+# so it lands mid-grid however fast the simulator is.  The journal is still
+# required to be non-empty but incomplete at the moment of death (otherwise
+# the test degenerates).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,8 +38,26 @@ tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 status=0
 
-# A grid long enough (~6 adpcm-enc/dec runs at 200k samples) that a kill
-# 1.5 s in reliably lands mid-grid on CI hardware.
+# kill_at_first_done PID JOURNAL: SIGKILL PID once JOURNAL holds its first
+# "done" record.  Exits the script if none appears within $DONE_TIMEOUT s.
+DONE_TIMEOUT=300
+kill_at_first_done() {
+    local pid=$1 journal=$2 deadline=$((SECONDS + DONE_TIMEOUT))
+    until grep -q '"status":"done"' "$journal" 2> /dev/null; do
+        if ! kill -0 "$pid" 2> /dev/null || ((SECONDS >= deadline)); then
+            kill -9 "$pid" 2> /dev/null || true
+            echo "FAIL: no job recorded done in $journal within" \
+                 "${DONE_TIMEOUT}s (or the run died first)" >&2
+            exit 1
+        fi
+        sleep 0.005
+    done
+    kill -9 "$pid" 2> /dev/null || true
+    wait "$pid" 2> /dev/null || true
+}
+
+# A grid of several jobs (adpcm-enc/dec runs at 200k samples), so killing
+# it at its first finished job leaves work for the resume.
 SWEEP_ARGS=(--adpcm=200000 --workloads=adpcm-enc,adpcm-dec --bits=2,4
             --baseline --seed=2001)
 
@@ -50,13 +70,10 @@ for threads in 1 8; do
     echo "--- kill-and-resume at --threads=$threads"
     "$SWEEP" "${SWEEP_ARGS[@]}" --threads=$threads --journal="$dir" \
         --json="$tmpdir/never_t$threads.json" > /dev/null 2>&1 &
-    pid=$!
-    sleep 1.5
-    kill -9 "$pid" 2> /dev/null || true
-    wait "$pid" 2> /dev/null || true
+    kill_at_first_done $! "$dir/journal.jsonl"
 
     if [[ ! -s "$dir/journal.jsonl" ]]; then
-        echo "FAIL: journal empty after 1.5s — kill landed before any work" >&2
+        echo "FAIL: journal empty at the kill — kill landed before any work" >&2
         status=1
         continue
     fi
@@ -133,10 +150,7 @@ CAMPAIGN_ARGS=(campaign --bench=g721-enc --quick --injections=24
     > /dev/null 2>&1
 "$FAULTS" "${CAMPAIGN_ARGS[@]}" --journal="$tmpdir/fcj" \
     --json="$tmpdir/fc_never.json" > /dev/null 2>&1 &
-pid=$!
-sleep 2
-kill -9 "$pid" 2> /dev/null || true
-wait "$pid" 2> /dev/null || true
+kill_at_first_done $! "$tmpdir/fcj/journal.jsonl"
 
 if [[ -f "$tmpdir/fc_never.json" ]]; then
     echo "note: campaign finished before the kill; resume degenerates to" \

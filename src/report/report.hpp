@@ -4,9 +4,9 @@
 // Every bench binary, the asbr-stats CLI and ci/bench-report.sh produce
 // their JSON artifacts through this one code path, so EXPERIMENTS.md tables
 // can be regenerated and diffed mechanically instead of scraping printf
-// output.  docs/metrics.md documents the JSON schema; the validators here
-// are the executable form of that document and are run both in tests and on
-// every CI-produced artifact.
+// output.  docs/metrics.md documents the JSON schema; its field table in
+// schema.cpp is the executable form of that document, run by the validators
+// below both in tests and on every CI-produced artifact.
 #pragma once
 
 #include <cstdint>

@@ -38,9 +38,9 @@ const Check kNonEmptyArray{
 
 /// A string equal to one of `names`.
 Check oneOf(std::vector<std::string> names) {
-    std::string what;
-    for (const std::string& name : names)
-        what += (what.empty() ? "'" : "/'") + name + "'";
+    std::string what = names.size() > 1 ? "one of " : "";
+    for (std::size_t i = 0; i < names.size(); ++i)
+        what += (i == 0 ? "'" : "/'") + names[i] + "'";
     return {[names = std::move(names)](const JsonValue& v) {
                 return v.isString() && std::find(names.begin(), names.end(),
                                                  v.asString()) != names.end();
@@ -72,18 +72,6 @@ Check range(std::uint64_t lo, std::uint64_t hi) {
             std::move(what)};
 }
 
-/// An object that has at least the members `keys`.
-Check withMembers(std::vector<std::string> keys) {
-    return {[keys = std::move(keys)](const JsonValue& v) {
-                return v.isObject() &&
-                       std::all_of(keys.begin(), keys.end(),
-                                   [&](const std::string& key) {
-                                       return v.find(key) != nullptr;
-                                   });
-            },
-            "an object with every required member"};
-}
-
 struct Field {
     std::string_view path;  ///< see schema.hpp for the syntax
     Check check;
@@ -107,41 +95,21 @@ struct Schema {
     void (*invariants)(const JsonValue& doc, Errors& errors);
 };
 
-/// Applies one field entry to `v`, the value at the concrete path `at`
-/// (restored on return); `path` is what is left of the entry's path.
 void walk(const JsonValue* v, std::string_view path, std::string& at,
-          const Check& check, Errors& errors) {
-    if (path.empty()) {
-        if (v == nullptr || !check.test(*v))
-            errors.push_back(at + " missing or not " + check.what);
-        return;
-    }
-    const std::size_t dot = path.find('.');
-    std::string_view segment = path.substr(0, dot);
-    const std::string_view rest =
-        dot == std::string_view::npos ? std::string_view() : path.substr(dot + 1);
-    const std::size_t mark = at.size();
-    const char* separator = at.empty() ? "" : ".";
-    if (segment == "*") {
-        if (v == nullptr || !v->isObject()) {
-            errors.push_back(at + separator + std::string(path) +
-                             " missing or not " + check.what);
-            return;
-        }
-        for (const auto& [key, member] : v->asObject()) {
-            at.append(separator).append(key);
-            walk(&member, rest, at, check, errors);
-            at.resize(mark);
-        }
-        return;
-    }
-    const bool each = segment.ends_with("[]");
-    if (each) segment.remove_suffix(2);
-    const bool optional = segment.ends_with('?');
-    if (optional) segment.remove_suffix(1);
-    const JsonValue* child = v == nullptr ? nullptr : v->find(segment);
+          const Check& check, Errors& errors);
+
+/// Walks member `key` of `v` (with its `?` and `[]` marks), then `rest`.
+void walkMember(const JsonValue* v, std::string_view key,
+                std::string_view rest, std::string& at, const Check& check,
+                Errors& errors) {
+    const bool each = key.ends_with("[]");
+    if (each) key.remove_suffix(2);
+    const bool optional = key.ends_with('?');
+    if (optional) key.remove_suffix(1);
+    const JsonValue* child = v == nullptr ? nullptr : v->find(key);
     if (child == nullptr && optional) return;
-    at.append(separator).append(segment);
+    const std::size_t mark = at.size();
+    at.append(at.empty() ? "" : ".").append(key);
     if (!each) {
         walk(child, rest, at, check, errors);
     } else if (child == nullptr || !child->isArray()) {
@@ -156,6 +124,48 @@ void walk(const JsonValue* v, std::string_view path, std::string& at,
         }
     }
     at.resize(mark);
+}
+
+/// Applies one field entry to `v`, the value at the concrete path `at`
+/// (restored on return); `path` is what is left of the entry's path.
+void walk(const JsonValue* v, std::string_view path, std::string& at,
+          const Check& check, Errors& errors) {
+    if (path.empty()) {
+        if (v == nullptr || !check.test(*v))
+            errors.push_back(at + " missing or not " + check.what);
+        return;
+    }
+    // The first step ends at the first '.' outside a {...} group.
+    std::size_t end = 0;
+    for (int depth = 0; end < path.size() && (depth > 0 || path[end] != '.');
+         ++end)
+        depth += path[end] == '{' ? 1 : path[end] == '}' ? -1 : 0;
+    std::string_view step = path.substr(0, end);
+    const std::string_view rest =
+        end < path.size() ? path.substr(end + 1) : std::string_view();
+    if (step == "*") {
+        if (v == nullptr || !v->isObject()) {
+            errors.push_back(at + (at.empty() ? "" : ".") + std::string(path) +
+                             " missing or not " + check.what);
+            return;
+        }
+        const std::size_t mark = at.size();
+        for (const auto& [key, member] : v->asObject()) {
+            at.append(at.empty() ? "" : ".").append(key);
+            walk(&member, rest, at, check, errors);
+            at.resize(mark);
+        }
+    } else if (step.starts_with('{')) {
+        step = step.substr(1, step.size() - 2);
+        for (std::size_t comma = 0; comma != std::string_view::npos;) {
+            comma = step.find(',');
+            walkMember(v, step.substr(0, comma), rest, at, check, errors);
+            step.remove_prefix(comma == std::string_view::npos ? step.size()
+                                                               : comma + 1);
+        }
+    } else {
+        walkMember(v, step, rest, at, check, errors);
+    }
 }
 
 ReportValidation check(const Schema& schema, const JsonValue& doc) {
@@ -238,28 +248,23 @@ void simInvariants(const JsonValue& doc, Errors& errors) {
                              "' needs counts.size == bounds.size + 1");
 }
 
-/// The counters the Fig. 6 (cycles/CPI/accuracy/mispredicts) and Fig. 11
-/// (cycles/folds/activity/storage) tables are generated from.
 const Schema kSim{
     kSimReportSchema,
     kReportSchemaVersion,
-    {{"meta.benchmark", kString},
-     {"meta.predictor", kString},
+    {{"meta.{benchmark,predictor}", kString},
      {"counters.*", kNumber},
-     {"counters",
-      withMembers({"pipeline.cycles", "pipeline.committed", "pipeline.fetched",
-                   "pipeline.cond_branches", "pipeline.folded_branches",
-                   "pipeline.predicted_branches", "pipeline.predicted_correct",
-                   "pipeline.mispredicts", "mem.icache.accesses",
-                   "mem.icache.misses", "mem.dcache.accesses",
-                   "mem.dcache.misses"})},
-     {"derived.cpi", kNumber},
-     {"derived.predictor_accuracy", kNumber},
-     {"derived.resolution_accuracy", kNumber},
-     {"derived.fold_rate", kNumber},
-     {"derived.branch_fraction", kNumber},
-     {"histograms.*.bounds", kArray},
-     {"histograms.*.counts", kArray},
+     // The counters the Fig. 6 (cycles/CPI/accuracy/mispredicts) and
+     // Fig. 11 (cycles/folds/activity/storage) tables are generated from.
+     {"counters.{pipeline.cycles,pipeline.committed,pipeline.fetched,"
+      "pipeline.cond_branches,pipeline.folded_branches,"
+      "pipeline.predicted_branches,pipeline.predicted_correct,"
+      "pipeline.mispredicts,mem.icache.accesses,mem.icache.misses,"
+      "mem.dcache.accesses,mem.dcache.misses}",
+      kNumber},
+     {"derived.{cpi,predictor_accuracy,resolution_accuracy,fold_rate,"
+      "branch_fraction}",
+      kNumber},
+     {"histograms.*.{bounds,counts}", kArray},
      {"sites", kObject}},
     simInvariants};
 
@@ -306,8 +311,7 @@ const Schema kSweep{kSweepReportSchema,
                      {"cells[].job", kString},
                      {"cells[].attempts", kNumber},
                      {"cells[].status", oneOf({"ok", "failed"})},
-                     {"failed_jobs[].job", kString},
-                     {"failed_jobs[].error", kString},
+                     {"failed_jobs[].{job,error}", kString},
                      {"failed_jobs[].attempts", kNumber}},
                     sweepInvariants};
 
@@ -348,32 +352,22 @@ void faultInvariants(const JsonValue& doc, Errors& errors) {
 }
 
 static_assert(kNumFaultOutcomes == 5, "list every outcome in kFault");
-const Schema kFault{kFaultReportSchema,
-                    kFaultReportVersion,
-                    {{"meta.benchmark", kString},
-                     {"meta.predictor", kString},
-                     {"meta.update_stage", kString},
-                     {"meta.seed", kNumber},
-                     {"meta.samples", kNumber},
-                     {"meta.bit_entries", kNumber},
-                     {"meta.protected", kBool},
-                     {"campaign.fault_seed", kNumber},
-                     {"campaign.injections", kNumber},
-                     {"campaign.max_cycle_factor", kNumber},
-                     {"campaign.clean_cycles", kNumber},
-                     {"campaign.targets", kObject},
-                     {"outcomes.masked", kNumber},
-                     {"outcomes.detected_recovered", kNumber},
-                     {"outcomes.detected_aborted", kNumber},
-                     {"outcomes.sdc", kNumber},
-                     {"outcomes.hang", kNumber},
-                     {"injections", kArray},
-                     {"failed_jobs[].index", kNumber},
-                     {"failed_jobs[].cycle", kNumber},
-                     {"failed_jobs[].attempts", kNumber},
-                     {"failed_jobs[].error", kString},
-                     {"failed_jobs[].site", kObject}},
-                    faultInvariants};
+const Schema kFault{
+    kFaultReportSchema,
+    kFaultReportVersion,
+    {{"meta.{benchmark,predictor,update_stage}", kString},
+     {"meta.{seed,samples,bit_entries}", kNumber},
+     {"meta.protected", kBool},
+     {"campaign.{fault_seed,injections,max_cycle_factor,clean_cycles}",
+      kNumber},
+     {"campaign.targets", kObject},
+     {"outcomes.{masked,detected_recovered,detected_aborted,sdc,hang}",
+      kNumber},
+     {"injections", kArray},
+     {"failed_jobs[].{index,cycle,attempts}", kNumber},
+     {"failed_jobs[].error", kString},
+     {"failed_jobs[].site", kObject}},
+    faultInvariants};
 
 // ------------------------------------------------- asbr.analysis_report ----
 
@@ -407,20 +401,15 @@ const Schema kAnalysis{
     {{"meta.benchmark", kString},
      {"meta.threshold", range(2, 4)},
      {"meta.scheduled", kBool},
-     {"cfg.instructions", kNumber},
-     {"cfg.blocks", kNumber},
-     {"cfg.edges", kNumber},
-     {"cfg.call_sites", kNumber},
-     {"cfg.function_entries", kNumber},
+     {"cfg.{instructions,blocks,edges,call_sites,function_entries}", kNumber},
      {"cfg.unresolved_indirect", kBool},
-     {"loops.count", kNumber},
-     {"loops.max_depth", kNumber},
-     {"loops.widening_points", kNumber},
+     {"loops.{count,max_depth,widening_points}", kNumber},
      {"fixpoint.converged", kBool},
      {"fixpoint.iterations", kNumber},
-     {"branches[].pc", kNumber},
-     {"branches[].line", kNumber},
-     {"branches[].instr", kString},
+     {"branches[].{pc,line,static_min_distance,unrefined_min_distance}",
+      kNumber},
+     {"branches[].{instr,cond_value}", kString},
+     {"branches[].{reachable,extractable}", kBool},
      {"branches[].direction",
       labelOf({BranchDirection::kAlwaysTaken, BranchDirection::kNeverTaken,
                BranchDirection::kDynamic, BranchDirection::kUnreachable},
@@ -429,11 +418,6 @@ const Schema kAnalysis{
       labelOf({FoldLegality::kProvablySafe, FoldLegality::kSafeOnProfiledPaths,
                FoldLegality::kIllegal},
               analysis::foldLegalityName)},
-     {"branches[].static_min_distance", kNumber},
-     {"branches[].unrefined_min_distance", kNumber},
-     {"branches[].cond_value", kString},
-     {"branches[].reachable", kBool},
-     {"branches[].extractable", kBool},
      {"lints[].kind",
       labelOf({StaticLint::Kind::kUnreachableBlock,
                StaticLint::Kind::kDeadBranchArm,
@@ -444,19 +428,11 @@ const Schema kAnalysis{
                StaticLint::Kind::kNeverWrittenRead,
                StaticLint::Kind::kCorrelatedBranch},
               analysis::staticLintKindName)},
-     {"lints[].pc", kNumber},
-     {"lints[].line", kNumber},
+     {"lints[].{pc,line}", kNumber},
      {"lints[].message", kString},
-     {"summary.branches", kNumber},
-     {"summary.always_taken", kNumber},
-     {"summary.never_taken", kNumber},
-     {"summary.dynamic", kNumber},
-     {"summary.unreachable", kNumber},
-     {"summary.statically_decided", kNumber},
-     {"summary.provably_safe", kNumber},
-     {"summary.illegal", kNumber},
-     {"summary.refinement_wins", kNumber},
-     {"summary.lints", kNumber}},
+     {"summary.{branches,always_taken,never_taken,dynamic,unreachable,"
+      "statically_decided,provably_safe,illegal,refinement_wins,lints}",
+      kNumber}},
     analysisInvariants};
 
 // ------------------------------------------------------ asbr.ipa_report ----
@@ -481,45 +457,34 @@ void ipaInvariants(const JsonValue& doc, Errors& errors) {
             "callgraph.edges does not match the summed callee lists", errors);
 }
 
-const Schema kIpa{kIpaReportSchema,
-                  kReportSchemaVersion,
-                  {{"meta.benchmark", kString},
-                   {"pipeline.rounds", kNumber},
-                   {"pipeline.ssa_defs", kNumber},
-                   {"pipeline.ssa_phis", kNumber},
-                   {"pipeline.ssa_uses", kNumber},
-                   {"pipeline.sccp_iterations", kNumber},
-                   {"pipeline.sccp_converged", kBool},
-                   {"pipeline.dense_decided", kNumber},
-                   {"pipeline.sccp_decided", kNumber},
-                   {"pipeline.merged_decided", kNumber},
-                   {"resolution.resolved_calls", kNumber},
-                   {"resolution.resolved_gotos", kNumber},
-                   {"resolution.unresolved_sites", kNumber},
-                   {"resolution.table_loads", kNumber},
-                   {"resolution.sites[].pc", kNumber},
-                   {"resolution.sites[].kind", oneOf({"call", "goto"})},
-                   {"resolution.sites[].targets", kNonEmptyArray},
-                   {"callgraph.functions", kNumber},
-                   {"callgraph.edges", kNumber},
-                   {"callgraph.recursive", kBool},
-                   {"callgraph.main_pc", kNumber},
-                   {"callgraph.nodes[].entry_pc", kNumber},
-                   {"callgraph.nodes[].symbol", kString},
-                   {"callgraph.nodes[].blocks", kNumber},
-                   {"callgraph.nodes[].clobber_mask", kNumber},
-                   {"callgraph.nodes[].clobber_count", kNumber},
-                   {"callgraph.nodes[].return_value", kString},
-                   {"callgraph.nodes[].callees", kArray},
-                   {"callgraph.nodes[].call_site_pcs", kArray},
-                   {"callgraph.nodes[].unresolved_indirect", kBool},
-                   {"callgraph.nodes[].reachable_from_main", kBool},
-                   {"callgraph.nodes[].wcet_bounded", kBool},
-                   {"callgraph.nodes[].wcet_cycles", kNumber},
-                   {"wcet.bounded", kBool},
-                   {"wcet.cycles", kNumber},
-                   {"wcet.reason", kString}},
-                  ipaInvariants};
+const Schema kIpa{
+    kIpaReportSchema,
+    kReportSchemaVersion,
+    {{"meta.benchmark", kString},
+     {"pipeline.{rounds,ssa_defs,ssa_phis,ssa_uses,sccp_iterations,"
+      "dense_decided,sccp_decided,merged_decided}",
+      kNumber},
+     {"pipeline.sccp_converged", kBool},
+     {"resolution.{resolved_calls,resolved_gotos,unresolved_sites,"
+      "table_loads}",
+      kNumber},
+     {"resolution.sites[].pc", kNumber},
+     {"resolution.sites[].kind", oneOf({"call", "goto"})},
+     {"resolution.sites[].targets", kNonEmptyArray},
+     {"callgraph.{functions,edges,main_pc}", kNumber},
+     {"callgraph.recursive", kBool},
+     {"callgraph.nodes[].{entry_pc,blocks,clobber_mask,clobber_count,"
+      "wcet_cycles}",
+      kNumber},
+     {"callgraph.nodes[].{symbol,return_value}", kString},
+     {"callgraph.nodes[].{unresolved_indirect,reachable_from_main,"
+      "wcet_bounded}",
+      kBool},
+     {"callgraph.nodes[].{callees,call_site_pcs}", kArray},
+     {"wcet.bounded", kBool},
+     {"wcet.cycles", kNumber},
+     {"wcet.reason", kString}},
+    ipaInvariants};
 
 // ------------------------------------------------- asbr.sampling_report ----
 
@@ -563,36 +528,22 @@ void samplingInvariants(const JsonValue& doc, Errors& errors) {
 const Schema kSampling{
     kSamplingReportSchema,
     kReportSchemaVersion,
-    {{"meta.benchmark", kString},
-     {"meta.predictor", kString},
-     {"meta.seed", kNumber},
-     {"meta.samples", kNumber},
-     {"meta.scheduled", kBool},
-     {"meta.asbr", kBool},
-     {"sampling.warmup", kNumber},
+    {{"meta.{benchmark,predictor}", kString},
+     {"meta.{seed,samples}", kNumber},
+     {"meta.{scheduled,asbr}", kBool},
+     {"sampling.{warmup,skip}", kNumber},
      {"sampling.measure", range(1, std::numeric_limits<std::uint64_t>::max())},
-     {"sampling.skip", kNumber},
-     {"totals.windows", kNumber},
-     {"totals.measured_instructions", kNumber},
-     {"totals.measured_cycles", kNumber},
-     {"totals.fast_forward_instructions", kNumber},
-     {"totals.total_instructions", kNumber},
-     {"totals.cond_branches", kNumber},
-     {"totals.folded_branches", kNumber},
+     {"totals.{windows,measured_instructions,measured_cycles,"
+      "fast_forward_instructions,total_instructions,cond_branches,"
+      "folded_branches,exit_code}",
+      kNumber},
      {"totals.exited", kBool},
-     {"totals.exit_code", kNumber},
-     {"estimate.cpi_micro", kNumber},
-     {"estimate.ci95_half_width_micro", kNumber},
-     {"estimate.error_bound_micro", kNumber},
-     {"estimate.fold_rate_micro", kNumber},
-     {"reference?.cycles", kNumber},
-     {"reference?.committed", kNumber},
-     {"reference?.cpi_micro", kNumber},
-     {"reference?.abs_error_micro", kNumber},
+     {"estimate.{cpi_micro,ci95_half_width_micro,error_bound_micro,"
+      "fold_rate_micro}",
+      kNumber},
+     {"reference?.{cycles,committed,cpi_micro,abs_error_micro}", kNumber},
      {"reference?.within_bound", kBool},
-     {"windows[].start_instruction", kNumber},
-     {"windows[].instructions", kNumber},
-     {"windows[].cycles", kNumber}},
+     {"windows[].{start_instruction,instructions,cycles}", kNumber}},
     samplingInvariants};
 
 // ----------------------------------------------------- asbr.wcet_report ----
@@ -647,48 +598,27 @@ const Schema kWcet{
     {{"meta.benchmark", kString},
      {"meta.threshold", range(2, 4)},
      {"meta.scheduled", kBool},
-     {"meta.seed", kNumber},
-     {"meta.samples", kNumber},
-     {"cost_model.mul_stall", kNumber},
-     {"cost_model.div_stall", kNumber},
-     {"cost_model.mispredict_penalty", kNumber},
-     {"cost_model.icache_miss_penalty", kNumber},
-     {"cost_model.dcache_miss_penalty", kNumber},
-     {"cost_model.icache_line_bytes", kNumber},
-     {"cost_model.pipeline_fill_cycles", kNumber},
-     {"bounds.baseline.bounded", kBool},
-     {"bounds.baseline.cycles", kNumber},
-     {"bounds.baseline.reason", kString},
-     {"bounds.folded.bounded", kBool},
-     {"bounds.folded.cycles", kNumber},
-     {"bounds.folded.reason", kString},
-     {"measured.baseline_cycles", kNumber},
-     {"measured.folded_cycles", kNumber},
-     {"soundness.baseline_sound", kBool},
-     {"soundness.folded_sound", kBool},
-     {"soundness.folded_tighter", kBool},
-     {"loops[].head_pc", kNumber},
-     {"loops[].line", kNumber},
-     {"loops[].depth", kNumber},
-     {"loops[].bound", kNumber},
+     {"meta.{seed,samples}", kNumber},
+     {"cost_model.{mul_stall,div_stall,mispredict_penalty,"
+      "icache_miss_penalty,dcache_miss_penalty,icache_line_bytes,"
+      "pipeline_fill_cycles}",
+      kNumber},
+     {"bounds.{baseline,folded}.bounded", kBool},
+     {"bounds.{baseline,folded}.cycles", kNumber},
+     {"bounds.{baseline,folded}.reason", kString},
+     {"measured.{baseline_cycles,folded_cycles}", kNumber},
+     {"soundness.{baseline_sound,folded_sound,folded_tighter}", kBool},
+     {"loops[].{head_pc,line,depth,bound}", kNumber},
      {"loops[].source",
       labelOf({BoundSource::kAnnotation, BoundSource::kInferred,
                BoundSource::kProfile, BoundSource::kNone},
               analysis::timing::boundSourceName)},
      {"loops[].bounded", kBool},
-     {"branches[].pc", kNumber},
-     {"branches[].line", kNumber},
-     {"branches[].exec_bound", kNumber},
-     {"branches[].unit_cost", kNumber},
-     {"branches[].total_cost", kNumber},
+     {"branches[].{pc,line,exec_bound,unit_cost,total_cost}", kNumber},
      {"branches[].folded", kBool},
-     {"summary.loops", kNumber},
-     {"summary.loops_annotated", kNumber},
-     {"summary.loops_inferred", kNumber},
-     {"summary.loops_profiled", kNumber},
-     {"summary.loops_unbounded", kNumber},
-     {"summary.branches", kNumber},
-     {"summary.folded_branches", kNumber}},
+     {"summary.{loops,loops_annotated,loops_inferred,loops_profiled,"
+      "loops_unbounded,branches,folded_branches}",
+      kNumber}},
     wcetInvariants};
 
 const ReportSchema kReportSchemas[] = {

@@ -64,10 +64,10 @@ Check range(std::uint64_t lo, std::uint64_t hi) {
     else if (hi != lo)
         what += ".." + std::to_string(hi);
     return {[lo, hi](const JsonValue& v) {
-                if (!v.isNumber() || v.asDouble() < 0 ||
-                    v.asDouble() != std::floor(v.asDouble()))
-                    return false;
-                return v.asUint() >= lo && v.asUint() <= hi;
+                if (!v.isNumber()) return false;
+                const double d = v.asDouble();
+                return d == std::floor(d) && d >= static_cast<double>(lo) &&
+                       d <= static_cast<double>(hi);
             },
             std::move(what)};
 }
@@ -176,8 +176,13 @@ ReportValidation check(const Schema& schema, const JsonValue& doc) {
         std::string at;
         for (const Field& field : schema.fields)
             walk(&doc, field.path, at, field.check, errors);
-        if (errors.empty() && schema.invariants != nullptr)
-            schema.invariants(doc, errors);
+        // A number an invariant cannot read as an unsigned integer (a
+        // negative or fractional count) rejects the document.
+        try {
+            if (errors.empty()) schema.invariants(doc, errors);
+        } catch (const EnsureError& e) {
+            errors.emplace_back(e.what());
+        }
     }
     // Messages name the schema without its "asbr." prefix.
     const std::string name = std::string(schema.id + 5) + ": ";

@@ -287,6 +287,18 @@ TEST_P(ReportSchemaTest, MutationVerdictsMatchTheCommittedExpectation) {
     EXPECT_EQ(reported, 0) << "actual line:\n" << actual;
 }
 
+TEST(ReportSchemaTest, UnreadableCountsRejectWithoutThrowing) {
+    // The field table accepts any number; the fold/predict invariant needs
+    // an unsigned one and must reject, not throw, when it gets -1.
+    JsonValue doc = corpusDoc("sim_report");
+    for (auto& [key, value] : doc.asObject())
+        if (key == "counters")
+            value.set("pipeline.cond_branches", JsonValue(-1));
+    ReportValidation validation;
+    EXPECT_NO_THROW(validation = validateSimReportJson(doc));
+    EXPECT_FALSE(validation.ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Corpus, ReportSchemaTest,
     testing::Values("analysis_adpcm_enc.json", "analysis_g721_enc.json",

@@ -27,7 +27,9 @@ std::uint64_t JsonValue::asUint() const {
             ASBR_ENSURE(int_ >= 0, "JsonValue::asUint on a negative value");
             return static_cast<std::uint64_t>(int_);
         case Kind::kDouble: {
-            ASBR_ENSURE(double_ >= 0 && double_ == std::floor(double_),
+            // 2^64 and above would not fit: converting them is undefined.
+            ASBR_ENSURE(double_ >= 0 && double_ == std::floor(double_) &&
+                            double_ < 18446744073709551616.0,
                         "JsonValue::asUint on a non-integral value");
             return static_cast<std::uint64_t>(double_);
         }

@@ -126,6 +126,13 @@ TEST(JsonTest, ObjectsPreserveInsertionOrder) {
     EXPECT_LT(text.find("zebra"), text.find("apple"));
 }
 
+TEST(JsonTest, AsUintRejectsWhatDoesNotFit) {
+    EXPECT_EQ(JsonValue(4096.0).asUint(), 4096u);
+    EXPECT_THROW((void)JsonValue(-1).asUint(), EnsureError);
+    EXPECT_THROW((void)JsonValue(0.5).asUint(), EnsureError);
+    EXPECT_THROW((void)JsonValue(18446744073709551616.0).asUint(), EnsureError);
+}
+
 TEST(JsonTest, ParseErrorsAreReported) {
     for (const char* bad : {"", "{", "[1,]", "{\"a\":}", "01", "tru",
                             "\"unterminated", "{\"a\":1} trailing"}) {

@@ -289,14 +289,15 @@ TEST_P(ReportSchemaTest, MutationVerdictsMatchTheCommittedExpectation) {
 
 TEST(ReportSchemaTest, UnreadableCountsRejectWithoutThrowing) {
     // The field table accepts any number; the fold/predict invariant needs
-    // an unsigned one and must reject, not throw, when it gets -1.
-    JsonValue doc = corpusDoc("sim_report");
-    for (auto& [key, value] : doc.asObject())
-        if (key == "counters")
-            value.set("pipeline.cond_branches", JsonValue(-1));
-    ReportValidation validation;
-    EXPECT_NO_THROW(validation = validateSimReportJson(doc));
-    EXPECT_FALSE(validation.ok());
+    // an unsigned 64-bit one and must reject, not throw, on anything else.
+    for (const JsonValue& count : {JsonValue(-1), JsonValue(1e30)}) {
+        JsonValue doc = corpusDoc("sim_report");
+        for (auto& [key, value] : doc.asObject())
+            if (key == "counters") value.set("pipeline.cond_branches", count);
+        ReportValidation validation;
+        EXPECT_NO_THROW(validation = validateSimReportJson(doc));
+        EXPECT_FALSE(validation.ok()) << count.dump();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -26,8 +26,10 @@ struct Check {
     std::string what;
 };
 
-const Check kNumber{[](const JsonValue& v) { return v.isNumber(); }, "a number"};
-const Check kString{[](const JsonValue& v) { return v.isString(); }, "a string"};
+const Check kNumber{[](const JsonValue& v) { return v.isNumber(); },
+                    "a number"};
+const Check kString{[](const JsonValue& v) { return v.isString(); },
+                    "a string"};
 const Check kBool{[](const JsonValue& v) { return v.isBool(); }, "a bool"};
 const Check kArray{[](const JsonValue& v) { return v.isArray(); }, "an array"};
 const Check kObject{[](const JsonValue& v) { return v.isObject(); },
@@ -455,7 +457,8 @@ void ipaInvariants(const JsonValue& doc, Errors& errors) {
             "resolution counters do not match the sites array", errors);
     const JsonArray& nodes = arrayAt(doc, "callgraph.nodes");
     std::uint64_t edges = 0;
-    for (const JsonValue& node : nodes) edges += arrayAt(node, "callees").size();
+    for (const JsonValue& node : nodes)
+        edges += arrayAt(node, "callees").size();
     require(uintAt(doc, "callgraph.functions") == nodes.size(),
             "callgraph.functions does not match the nodes array", errors);
     require(uintAt(doc, "callgraph.edges") == edges,

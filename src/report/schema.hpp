@@ -8,6 +8,8 @@
 //   {"bounds.baseline.cycles", kNumber}   nested object members
 //   {"branches[].direction", oneOf(...)}  every element of an array
 //   {"counters.*", kNumber}               every member of an object
+//   {"meta.{seed,samples}", kNumber}      each member of a group (a group's
+//                                         names may contain dots)
 //   {"reference?.cycles", kNumber}        skipped when `reference` is absent
 //
 // Every intermediate step must exist and have the right kind (an object, or

@@ -88,9 +88,10 @@ namespace detail {
         where.remove_prefix(at + 1);
     std::ostringstream os;
     os << "ASBR_ENSURE failed: (" << expr << ")";
-    const std::size_t locationAt = os.str().size();
+    const auto locationAt = static_cast<std::size_t>(os.tellp());
     os << " at " << where << ':' << line;
-    const std::size_t locationSize = os.str().size() - locationAt;
+    const auto locationSize =
+        static_cast<std::size_t>(os.tellp()) - locationAt;
     if (!msg.empty()) os << " — " << msg;
     throw EnsureError(os.str(), locationAt, locationSize);
 }

@@ -143,8 +143,8 @@ void collect(const JsonValue& v, std::vector<std::size_t>& steps,
         const JsonObject& members = v.asObject();
         for (std::size_t i = 0; i < members.size(); ++i) {
             steps.push_back(i);
-            const std::string child =
-                where.empty() ? members[i].first : where + "." + members[i].first;
+            const std::string& key = members[i].first;
+            const std::string child = where.empty() ? key : where + "." + key;
             out.push_back({steps, Mutation::Op::kRemove, {}, child});
             collect(members[i].second, steps, child, out);
             steps.pop_back();
@@ -153,8 +153,8 @@ void collect(const JsonValue& v, std::vector<std::size_t>& steps,
         const std::size_t last = v.asArray().size() - 1;
         for (const std::size_t i : {std::size_t{0}, last}) {
             steps.push_back(i);
-            collect(v.asArray()[i], steps, where + "[" + std::to_string(i) + "]",
-                    out);
+            collect(v.asArray()[i], steps,
+                    where + "[" + std::to_string(i) + "]", out);
             steps.pop_back();
             if (last == 0) break;  // a one-element array is entered once
         }
@@ -262,7 +262,8 @@ TEST_P(ReportSchemaTest, MutationVerdictsMatchTheCommittedExpectation) {
     const std::vector<Mutation> mutations = mutationsOf(doc);
     std::vector<bool> verdicts;
     verdicts.reserve(mutations.size());
-    for (const Mutation& m : mutations) verdicts.push_back(accepts(validate, apply(doc, m)));
+    for (const Mutation& m : mutations)
+        verdicts.push_back(accepts(validate, apply(doc, m)));
     const std::string actual = name + " " + std::to_string(mutations.size()) +
                                " " + toHex(verdicts);
 

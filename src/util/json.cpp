@@ -30,7 +30,7 @@ std::uint64_t JsonValue::asUint() const {
             // 2^64 and above would not fit: converting them is undefined.
             ASBR_ENSURE(double_ >= 0 && double_ == std::floor(double_) &&
                             double_ < 18446744073709551616.0,
-                        "JsonValue::asUint on a non-integral value");
+                        "JsonValue::asUint on a value that is not a uint64");
             return static_cast<std::uint64_t>(double_);
         }
         default:

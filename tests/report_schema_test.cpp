@@ -288,7 +288,7 @@ TEST_P(ReportSchemaTest, MutationVerdictsMatchTheCommittedExpectation) {
     EXPECT_EQ(reported, 0) << "actual line:\n" << actual;
 }
 
-TEST(ReportSchemaTest, UnreadableCountsRejectWithoutThrowing) {
+TEST(ReportInvariantTest, UnreadableCountsRejectWithoutThrowing) {
     // The field table accepts any number; the fold/predict invariant needs
     // an unsigned 64-bit one and must reject, not throw, on anything else.
     for (const JsonValue& count : {JsonValue(-1), JsonValue(1e30)}) {

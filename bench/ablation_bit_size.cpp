@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         const JobResult& r = results[1 + i];
         sink.add(r);
         table.addRow({std::to_string(sizes[i]),
-                      std::to_string(r.candidates.size()),
+                      std::to_string(r.selection.residents.size()),
                       formatWithCommas(r.unitStats.folds),
                       formatWithCommas(r.stats.cycles),
                       formatPercent(improvement(base.stats.cycles, r.stats.cycles)),

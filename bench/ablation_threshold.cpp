@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
             table.addRow(
                 {benchName(benches[b]), stages[s].name,
                  std::to_string(thresholdFor(stages[s].stage)),
-                 std::to_string(r.candidates.size()),
+                 std::to_string(r.selection.residents.size()),
                  formatWithCommas(r.unitStats.folds),
                  formatWithCommas(r.unitStats.blockedInvalid),
                  formatWithCommas(r.stats.cycles),

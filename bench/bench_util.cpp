@@ -113,7 +113,7 @@ void reportSelectedBranches(SimEngine& engine, const Options& options,
     table.setHeader({"branch", "pc", "exec #", "taken", "acc not-taken",
                      "acc bimodal", "acc gshare", "foldable@3"});
     int index = 0;
-    for (const Candidate& c : selection->candidates()) {
+    for (const Candidate& c : selection->selection().residents) {
         char pcText[16];
         std::snprintf(pcText, sizeof pcText, "0x%05x", c.pc);
         auto accOf = [&](std::size_t p) {

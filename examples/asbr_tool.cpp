@@ -17,7 +17,6 @@
 #include <string>
 
 #include "asbr/asbr_unit.hpp"
-#include "asbr/extract.hpp"
 #include "asm/assembler.hpp"
 #include "bp/predictor.hpp"
 #include "bp/registry.hpp"
@@ -136,11 +135,11 @@ int main(int argc, char** argv) {
         selCfg.threshold = stage == ValueStage::kExEnd
                                ? 2
                                : (stage == ValueStage::kMemEnd ? 3 : 4);
-        const auto candidates = selectFoldableBranches(program, profile, {},
-                                                       selCfg);
+        const Selection selection =
+            selectBranches(program, profile, {}, selCfg);
         std::printf("ASBR: %zu of %zu branch sites selected\n",
-                    candidates.size(), profile.branches.size());
-        unit.loadBank(0, extractBranchInfos(program, candidatePcs(candidates)));
+                    selection.residents.size(), profile.branches.size());
+        loadSelection(unit, program, selection);
         customizer = &unit;
     }
 

@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "asbr/asbr_unit.hpp"
-#include "asbr/extract.hpp"
 #include "bp/predictor.hpp"
 #include "bp/bimodal.hpp"
 #include "cc/compile.hpp"
@@ -89,14 +88,14 @@ int main() {
     fillInput(profileMemory);
     const ProgramProfile profile = profileProgram(compiled.program, profileMemory);
 
-    SelectionConfig selection;
-    selection.bitCapacity = 8;
-    selection.threshold = 3;
-    const auto candidates =
-        selectFoldableBranches(compiled.program, profile, {}, selection);
+    SelectionConfig config;
+    config.bitCapacity = 8;
+    config.threshold = 3;
+    const Selection selection =
+        selectBranches(compiled.program, profile, {}, config);
     std::printf("profiler: %zu branch sites, %zu selected for the BIT\n",
-                profile.branches.size(), candidates.size());
-    for (const Candidate& c : candidates)
+                profile.branches.size(), selection.residents.size());
+    for (const Candidate& c : selection.residents)
         std::printf("  pc 0x%05x  execs %-8llu taken %.2f foldable %.2f\n",
                     c.pc, static_cast<unsigned long long>(c.execs), c.takenRate,
                     c.foldableFraction);
@@ -114,8 +113,7 @@ int main() {
     const PipelineResult base = runOnce(nullptr);
 
     AsbrUnit unit;
-    unit.loadBank(0, extractBranchInfos(compiled.program,
-                                        candidatePcs(candidates)));
+    loadSelection(unit, compiled.program, selection);
     const PipelineResult custom = runOnce(&unit);
 
     std::printf("\nbaseline  : %llu cycles, CPI %.2f, output %s\n",

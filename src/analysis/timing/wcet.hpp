@@ -23,7 +23,7 @@
 //
 // Besides the cycle bound the engine ranks every conditional branch by its
 // static worst-case misprediction cost (execution bound x penalty) — the
-// input to cost-aware ASBR selection (selectBranchesByStaticCost).
+// input to cost-aware ASBR selection (the cost-ranking selectBranches).
 #pragma once
 
 #include <cstdint>

@@ -11,8 +11,8 @@
 //                                       bimodal-2048 replay over the ISS
 //                                       branch stream is the per-site
 //                                       accuracy reference)
-//   SelectionKey -> SelectionArtifacts  selected candidates + extracted
-//                                       BIT/static-fold entries
+//   SelectionKey -> SelectionArtifacts  the Selection (BIT residents +
+//                                       static folds)
 //
 // Artifacts are immutable after construction; anything mutable a run needs
 // (Memory image, predictor, AsbrUnit) is built *fresh* from them per run, so
@@ -31,8 +31,6 @@
 #include <vector>
 
 #include "asbr/asbr_unit.hpp"
-#include "asbr/bit.hpp"
-#include "asbr/static_fold.hpp"
 #include "bp/predictor.hpp"
 #include "driver/once_map.hpp"
 #include "mem/memory.hpp"
@@ -94,11 +92,8 @@ struct SelectionKey {
     /// accuracy reference (every figure regenerator does; ext_predictors
     /// deliberately does not).
     bool useAccuracy = true;
-    bool staticFolds = false;  ///< two-class selection + static fold table
-    /// Predictor-aware selection: fold only what `predictorToken` loses
-    /// (mutually exclusive with staticFolds).
-    bool predictorAware = false;
-    /// The strong fallback predictor's registry token (predictorAware only;
+    SelectionPolicy policy = SelectionPolicy::kProfiled;
+    /// The strong fallback predictor's registry token (kPredictorAware only;
     /// empty otherwise so keys that ignore the predictor keep aliasing).
     std::string predictorToken;
 
@@ -137,58 +132,24 @@ private:
     mutable OnceMap<std::string, PredictionProfile> predictions_;
 };
 
-/// Immutable branch selection: candidates plus the extracted table contents,
-/// ready to stamp out fresh AsbrUnits.  The stored BranchInfos are exactly
-/// what AsbrUnit::loadBank stores (the BIT keeps them unchanged), so units
-/// built here are bit-identical to the pre-driver profile->select->extract
-/// path.
+/// Immutable branch selection, ready to stamp out fresh AsbrUnits.
 class SelectionArtifacts {
 public:
     SelectionArtifacts(std::shared_ptr<const WorkloadArtifacts> workload,
                        const SelectionKey& key);
 
     [[nodiscard]] const SelectionKey& key() const { return key_; }
-    [[nodiscard]] const WorkloadArtifacts& workload() const {
-        return *workload_;
-    }
-    [[nodiscard]] const std::vector<Candidate>& candidates() const {
-        return candidates_;
-    }
-    [[nodiscard]] const std::vector<StaticFoldCandidate>& staticCandidates()
-        const {
-        return staticCandidates_;
-    }
-    [[nodiscard]] std::uint64_t bitSlotsReclaimed() const {
-        return bitSlotsReclaimed_;
-    }
-    /// Predictor-aware selection summary (zeros unless key().predictorAware).
-    [[nodiscard]] const PredictorAwareSelectionMetrics& awareMetrics() const {
-        return awareMetrics_;
-    }
-    /// Hardness taxonomy per foldable site (empty unless predictorAware).
-    [[nodiscard]] const std::map<std::uint32_t, BranchHardness>& hardness()
-        const {
-        return hardness_;
-    }
-    [[nodiscard]] const std::vector<BranchInfo>& branchInfos() const {
-        return infos_;
-    }
+    [[nodiscard]] const Selection& selection() const { return selection_; }
 
-    /// Fresh ASBR unit with bank 0 (and the static fold table, when the
-    /// selection has one) loaded.  Safe to call concurrently.
+    /// Fresh ASBR unit with the selection loaded (loadSelection).  Safe to
+    /// call concurrently.
     [[nodiscard]] std::unique_ptr<AsbrUnit> makeUnit(
         bool parityProtected) const;
 
 private:
     std::shared_ptr<const WorkloadArtifacts> workload_;
     SelectionKey key_;
-    std::vector<Candidate> candidates_;
-    std::vector<StaticFoldCandidate> staticCandidates_;
-    std::uint64_t bitSlotsReclaimed_ = 0;
-    PredictorAwareSelectionMetrics awareMetrics_{};
-    std::map<std::uint32_t, BranchHardness> hardness_;
-    std::vector<BranchInfo> infos_;
-    std::vector<StaticFoldEntry> staticEntries_;
+    Selection selection_;
 };
 
 /// Thread-safe once-per-key artifact store.

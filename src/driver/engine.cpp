@@ -46,9 +46,13 @@ SelectionKey SimEngine::selectionKeyFor(const SimJob& job) const {
         job.bitEntries != 0 ? job.bitEntries : paperBitEntries(job.workload);
     key.updateStage = job.updateStage;
     key.useAccuracy = job.accuracyRef;
-    key.staticFolds = job.staticFolds;
-    key.predictorAware = job.predictorAware;
-    if (job.predictorAware) key.predictorToken = job.predictor;
+    ASBR_ENSURE(!(job.staticFolds && job.predictorAware),
+                "job: staticFolds and predictorAware are exclusive");
+    if (job.staticFolds) key.policy = SelectionPolicy::kStaticFolds;
+    if (job.predictorAware) {
+        key.policy = SelectionPolicy::kPredictorAware;
+        key.predictorToken = job.predictor;
+    }
     return key;
 }
 
@@ -78,8 +82,8 @@ std::string SimEngine::jobKey(const SimJob& job) const {
         key += "-";
         key += valueStageName(s.updateStage);
         if (job.parityProtected) key += "-pp";
-        if (s.staticFolds) key += "-sf";
-        if (s.predictorAware) key += "-pa";
+        if (s.policy == SelectionPolicy::kStaticFolds) key += "-sf";
+        if (s.policy == SelectionPolicy::kPredictorAware) key += "-pa";
         if (!s.useAccuracy) key += "-noacc";
     } else {
         key += "-base";
@@ -210,18 +214,12 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
     if (out.sampled != nullptr) out.sampled->publish(out.report.registry);
     if (unit != nullptr) {
         out.asbr = true;
-        out.candidates = selection->candidates();
-        out.staticFoldCount = selection->staticCandidates().size();
-        out.bitSlotsReclaimed = selection->bitSlotsReclaimed();
+        out.selection = selection->selection();
         out.unitStats = unit->stats();
         out.unitStorageBits = unit->storageBits();
         if (job.predictorAware) {
-            const PredictorAwareSelectionMetrics& aware =
-                selection->awareMetrics();
-            out.predictorAware = true;
-            out.awareHardSites = aware.hardSites;
-            out.awareKeptForPredictor = aware.keptForPredictor;
-            out.awareReclaimedSlots = aware.reclaimedSlots;
+            PredictorAwareSelectionMetrics aware;
+            aware.countSelection(out.selection);
             aware.publish(out.report.registry);
         }
     }

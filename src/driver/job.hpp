@@ -74,19 +74,11 @@ struct JobResult {
 
     // ASBR summary (asbr jobs only).
     bool asbr = false;
-    std::vector<Candidate> candidates;        ///< BIT-resident selection
-    std::size_t staticFoldCount = 0;          ///< static-table branches
-    std::uint64_t bitSlotsReclaimed = 0;
+    Selection selection;                      ///< the selection it ran
     AsbrStats unitStats;                      ///< post-run unit counters
     std::uint64_t unitStorageBits = 0;
 
     std::uint64_t predictorStorageBits = 0;
-
-    // Predictor-aware selection summary (asbr + predictorAware jobs only).
-    bool predictorAware = false;
-    std::uint64_t awareHardSites = 0;       ///< sites the predictor loses
-    std::uint64_t awareKeptForPredictor = 0;  ///< foldable sites left to it
-    std::uint64_t awareReclaimedSlots = 0;  ///< bimodal-era BIT slots freed
 
     /// Sampled-run outcome (only when SimJob::sampled was set).  `stats`
     /// then holds the detailed-window statistics; when sampleReference was

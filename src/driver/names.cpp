@@ -1,6 +1,7 @@
 #include "driver/names.hpp"
 
 #include "bp/registry.hpp"
+#include "util/ensure.hpp"
 
 namespace asbr::driver {
 
@@ -68,6 +69,14 @@ std::uint32_t thresholdFor(ValueStage stage) {
         case ValueStage::kCommit: return 4;
     }
     return 3;
+}
+
+ValueStage stageForThreshold(std::uint32_t threshold) {
+    ASBR_ENSURE(threshold >= 2 && threshold <= 4,
+                "threshold must be 2, 3 or 4");
+    return threshold == 2   ? ValueStage::kExEnd
+           : threshold == 3 ? ValueStage::kMemEnd
+                            : ValueStage::kCommit;
 }
 
 }  // namespace asbr::driver

@@ -50,4 +50,8 @@ namespace asbr::driver {
 /// Threshold (2/3/4) implied by a BDT update stage.
 [[nodiscard]] std::uint32_t thresholdFor(ValueStage stage);
 
+/// The BDT update stage a threshold (2/3/4) implies (inverse of
+/// thresholdFor).
+[[nodiscard]] ValueStage stageForThreshold(std::uint32_t threshold);
+
 }  // namespace asbr::driver

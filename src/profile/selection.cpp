@@ -1,298 +1,245 @@
 #include "profile/selection.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "asbr/asbr_unit.hpp"
 #include "asbr/extract.hpp"
 
 namespace asbr {
 
 namespace {
 
-/// The scoring loop shared by both selection entry points.  `exclude`
-/// removes PCs already served by the static fold table (nullptr: none).
-std::vector<Candidate> selectImpl(
-    const Program& program, const ProgramProfile& profile,
-    const std::map<std::uint32_t, double>& accuracyByPc,
-    const SelectionConfig& config,
-    const std::unordered_set<std::uint32_t>* exclude) {
+using AccuracyMap = std::map<std::uint32_t, double>;
+
+/// Per-site evidence, in pc order, plus how the filter step judges it.
+struct Evidence {
+    /// Every extractable site the input knows about; `execs` is the heat the
+    /// static table ranks by, `score` the benefit the BIT ranks by.
+    std::vector<Candidate> sites;
+    std::uint64_t minExecs = 0;  ///< execution floor
+    double minFoldable = 0.0;    ///< foldable-fraction floor
+    /// The weakest legality verdict the BIT admits; nullopt: none consumed.
+    std::optional<analysis::FoldLegality> weakestVerdict;
+    /// Dynamic evidence for the SafeOnProfiledPaths verdict.
+    std::optional<analysis::ObservedMinDistances> observed;
+    bool staticSplit = false;  ///< statically-decided sites fold statically
+    /// Reclaimed slots are counted against the plain profiled policy.
+    bool countsReclaimed = false;
+};
+
+double accuracyOf(const AccuracyMap& accuracyByPc, std::uint32_t pc) {
+    const auto it = accuracyByPc.find(pc);
+    return it == accuracyByPc.end() ? 1.0 : it->second;
+}
+
+/// Score a profiled site against a predictor's per-site accuracy.
+Candidate scored(Candidate c, const AccuracyMap& accuracyByPc) {
+    c.accuracy = accuracyOf(accuracyByPc, c.pc);
+    // Expected benefit: foldable executions weighted by how often the
+    // reference predictor gets this site wrong, plus a small term for the
+    // pipeline-occupancy saving every fold provides regardless of
+    // predictability (the folded branch never issues).
+    c.score = static_cast<double>(c.execs) * c.foldableFraction *
+              ((1.0 - c.accuracy) + 0.05);
+    return c;
+}
+
+bool holds(const std::vector<Candidate>& residents, std::uint32_t pc) {
+    return std::any_of(residents.begin(), residents.end(),
+                       [pc](const Candidate& c) { return c.pc == pc; });
+}
+
+void ensureThreshold(const SelectionConfig& config) {
     ASBR_ENSURE(config.threshold >= 2 && config.threshold <= 4,
                 "threshold must be 2, 3 or 4");
-    std::vector<Candidate> candidates;
-    const auto minExecs = static_cast<std::uint64_t>(
-        config.minExecFraction * static_cast<double>(profile.instructions));
+}
 
+/// Split, filter, rank and cut.  `strong` (predictor-aware only) re-ranks
+/// the pool against the strong predictor's accuracy.
+Selection selectFrom(const Program& program, const Evidence& evidence,
+                     const SelectionConfig& config, const AccuracyMap* strong) {
+    Selection selection;
+    // Absint runs only when a verdict is consumed.
     std::optional<analysis::FoldLegalityVerifier> verifier;
-    analysis::VerifyConfig verifyConfig;
-    analysis::ObservedMinDistances observed;
-    if (config.requireStaticallySafe) {
+    if (evidence.staticSplit || evidence.weakestVerdict)
         verifier.emplace(program);
-        verifyConfig.threshold = config.threshold;
-        for (const auto& [pc, bp] : profile.branches)
-            if (bp.execs > 0) observed.emplace(pc, bp.minDistance);
-    }
 
-    for (const auto& [pc, bp] : profile.branches) {
-        if (exclude != nullptr && exclude->count(pc) != 0) continue;
-        if (bp.execs < std::max<std::uint64_t>(minExecs, 1)) continue;
-        if (!isExtractableBranch(program, pc)) continue;
-        const double foldable = bp.foldableFraction(config.threshold);
-        if (foldable < config.minFoldableFraction) continue;
-
-        Candidate c;
-        c.pc = pc;
-        c.execs = bp.execs;
-        c.takenRate = bp.takenRate();
-        const auto it = accuracyByPc.find(pc);
-        c.accuracy = it == accuracyByPc.end() ? 1.0 : it->second;
-        c.foldableFraction = foldable;
-        // Expected benefit: foldable executions weighted by how often the
-        // reference predictor gets this site wrong, plus a small term for the
-        // pipeline-occupancy saving every fold provides regardless of
-        // predictability (the folded branch never issues).
-        c.score = static_cast<double>(c.execs) * foldable *
-                  ((1.0 - c.accuracy) + 0.05);
-        if (verifier) {
-            const auto v = verifier->verdictFor(pc, verifyConfig, &observed);
-            if (v.verdict == analysis::FoldLegality::kIllegal) continue;
-            c.verdict = v.verdict;
+    // Static split: a statically-decided branch needs no score — with zero
+    // BDT dependence the fold succeeds on every execution — so rank by heat
+    // to make the capacity cut deterministic.
+    if (evidence.staticSplit) {
+        for (const Candidate& c : evidence.sites) {
+            const auto dir =
+                verifier->values().directionAt(verifier->cfg().indexOf(c.pc));
+            if (dir == analysis::BranchDirection::kAlwaysTaken ||
+                dir == analysis::BranchDirection::kNeverTaken)
+                selection.statics.push_back(
+                    {c.pc, dir == analysis::BranchDirection::kAlwaysTaken,
+                     c.execs});
         }
-        candidates.push_back(c);
+        std::sort(selection.statics.begin(), selection.statics.end(),
+                  [](const StaticFoldCandidate& a, const StaticFoldCandidate& b) {
+                      if (a.execs != b.execs) return a.execs > b.execs;
+                      return a.pc < b.pc;
+                  });
+        if (selection.statics.size() > kStaticFoldCapacity)
+            selection.statics.resize(kStaticFoldCapacity);
     }
 
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                  if (a.score != b.score) return a.score > b.score;
-                  if (a.verdict != b.verdict) return a.verdict < b.verdict;
-                  return a.pc < b.pc;
-              });
-    if (candidates.size() > config.bitCapacity)
-        candidates.resize(config.bitCapacity);
-    return candidates;
+    // Filter: the pool the plain policy ranks.  A zero score is a cost-ranked
+    // site no bounded path reaches.
+    analysis::VerifyConfig verifyConfig;
+    verifyConfig.threshold = config.threshold;
+    std::vector<Candidate> pool;
+    for (Candidate c : evidence.sites) {
+        if (c.execs < evidence.minExecs ||
+            c.foldableFraction < evidence.minFoldable || c.score <= 0.0)
+            continue;
+        if (evidence.weakestVerdict) {
+            c.verdict = verifier
+                            ->verdictFor(c.pc, verifyConfig,
+                                         evidence.observed ? &*evidence.observed
+                                                           : nullptr)
+                            .verdict;
+            if (*c.verdict > *evidence.weakestVerdict) continue;
+        }
+        pool.push_back(c);
+    }
+
+    // Rank and cut.
+    const auto rankAndCut = [&config](std::vector<Candidate> ranked) {
+        std::sort(ranked.begin(), ranked.end(),
+                  [](const Candidate& a, const Candidate& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      if (a.verdict != b.verdict) return a.verdict < b.verdict;
+                      return a.pc < b.pc;
+                  });
+        if (ranked.size() > config.bitCapacity)
+            ranked.resize(config.bitCapacity);
+        return ranked;
+    };
+    if (strong != nullptr) {
+        // Rank against the strong predictor, cut, and only then keep the
+        // sites it demonstrably loses: the slots the rest would have taken
+        // stay empty, handed back to the predictor.
+        std::vector<Candidate> rescored;
+        for (const Candidate& c : pool) rescored.push_back(scored(c, *strong));
+        for (const Candidate& c : rankAndCut(std::move(rescored)))
+            if (c.accuracy < kWellPredictedAccuracy)
+                selection.residents.push_back(c);
+        for (const Candidate& c : evidence.sites) {
+            if (c.foldableFraction < evidence.minFoldable) continue;
+            BranchHardness cls = BranchHardness::kColdSite;
+            if (c.execs >= evidence.minExecs)
+                cls = accuracyOf(*strong, c.pc) < kWellPredictedAccuracy
+                          ? BranchHardness::kHardToPredict
+                      : c.accuracy < kWellPredictedAccuracy
+                          ? BranchHardness::kHistoryPredictable
+                          : BranchHardness::kWellPredicted;
+            ++selection.hardness[static_cast<std::size_t>(cls)];
+        }
+    } else {
+        std::vector<Candidate> bitPool;
+        for (const Candidate& c : pool)
+            if (std::none_of(selection.statics.begin(), selection.statics.end(),
+                             [&c](const StaticFoldCandidate& s) {
+                                 return s.pc == c.pc;
+                             }))
+                bitPool.push_back(c);
+        selection.residents = rankAndCut(std::move(bitPool));
+    }
+
+    if (evidence.countsReclaimed)
+        for (const Candidate& c : rankAndCut(std::move(pool)))
+            if (!holds(selection.residents, c.pc))
+                ++selection.bitSlotsReclaimed;
+    return selection;
 }
 
 }  // namespace
 
-std::vector<Candidate> selectFoldableBranches(
-    const Program& program, const ProgramProfile& profile,
-    const std::map<std::uint32_t, double>& accuracyByPc,
-    const SelectionConfig& config) {
-    return selectImpl(program, profile, accuracyByPc, config, nullptr);
-}
-
-std::vector<std::uint32_t> candidatePcs(const std::vector<Candidate>& candidates) {
-    std::vector<std::uint32_t> pcs;
-    pcs.reserve(candidates.size());
-    for (const Candidate& c : candidates) pcs.push_back(c.pc);
-    return pcs;
-}
-
-FoldSelection selectWithStaticVerdicts(
-    const Program& program, const ProgramProfile& profile,
-    const std::map<std::uint32_t, double>& accuracyByPc,
-    const SelectionConfig& config) {
-    FoldSelection selection;
-
-    // Statically-decided branches need no score: with zero BDT dependence
-    // the fold succeeds on every execution, so any executed branch is pure
-    // win.  Rank by heat to make the staticCapacity cut deterministic.
-    const analysis::FoldLegalityVerifier verifier(program);
-    const analysis::ValueAnalysis& va = verifier.values();
-    for (const auto& [pc, bp] : profile.branches) {
-        if (bp.execs == 0) continue;
-        if (!isExtractableBranch(program, pc)) continue;
-        const auto dir = va.directionAt(verifier.cfg().indexOf(pc));
-        if (dir != analysis::BranchDirection::kAlwaysTaken &&
-            dir != analysis::BranchDirection::kNeverTaken)
-            continue;
-        selection.statics.push_back(
-            {pc, dir == analysis::BranchDirection::kAlwaysTaken, bp.execs});
-    }
-    std::sort(selection.statics.begin(), selection.statics.end(),
-              [](const StaticFoldCandidate& a, const StaticFoldCandidate& b) {
-                  if (a.execs != b.execs) return a.execs > b.execs;
-                  return a.pc < b.pc;
-              });
-    if (selection.statics.size() > config.staticCapacity)
-        selection.statics.resize(config.staticCapacity);
-
-    std::unordered_set<std::uint32_t> staticPcs;
-    for (const StaticFoldCandidate& s : selection.statics)
-        staticPcs.insert(s.pc);
-
-    // BIT occupancy the old policy would have spent on now-static branches.
-    for (const Candidate& c :
-         selectImpl(program, profile, accuracyByPc, config, nullptr))
-        if (staticPcs.count(c.pc) != 0) ++selection.bitSlotsReclaimed;
-
-    selection.dynamic =
-        selectImpl(program, profile, accuracyByPc, config, &staticPcs);
-    return selection;
-}
-
-FoldSelection selectBranchesByStaticCost(
-    const Program& program,
-    const std::vector<analysis::timing::BranchCostRecord>& ranking,
-    const SelectionConfig& config) {
-    ASBR_ENSURE(config.threshold >= 2 && config.threshold <= 4,
-                "threshold must be 2, 3 or 4");
-    FoldSelection selection;
-    std::map<std::uint32_t, const analysis::timing::BranchCostRecord*> byPc;
-    for (const auto& r : ranking) byPc.emplace(r.pc, &r);
-
-    const analysis::FoldLegalityVerifier verifier(program);
-    const analysis::ValueAnalysis& va = verifier.values();
-    analysis::VerifyConfig verifyConfig;
-    verifyConfig.threshold = config.threshold;
-
-    // Statically-decided branches fold from the static table on every
-    // execution; rank them by worst-case execution bound so the
-    // staticCapacity cut favours the branches the longest path crosses most.
-    for (const std::uint32_t pc : allConditionalBranches(program)) {
-        const auto dir = va.directionAt(verifier.cfg().indexOf(pc));
-        if (dir != analysis::BranchDirection::kAlwaysTaken &&
-            dir != analysis::BranchDirection::kNeverTaken)
-            continue;
-        const auto it = byPc.find(pc);
-        selection.statics.push_back(
-            {pc, dir == analysis::BranchDirection::kAlwaysTaken,
-             it == byPc.end() ? 0 : it->second->execBound});
-    }
-    std::sort(selection.statics.begin(), selection.statics.end(),
-              [](const StaticFoldCandidate& a, const StaticFoldCandidate& b) {
-                  if (a.execs != b.execs) return a.execs > b.execs;
-                  return a.pc < b.pc;
-              });
-    if (selection.statics.size() > config.staticCapacity)
-        selection.statics.resize(config.staticCapacity);
-    std::unordered_set<std::uint32_t> staticPcs;
-    for (const StaticFoldCandidate& s : selection.statics)
-        staticPcs.insert(s.pc);
-
-    // BIT residents: only branches the verifier proves safe on *every* path
-    // qualify — there is no profile here to justify anything weaker.
-    for (const std::uint32_t pc : allConditionalBranches(program)) {
-        if (staticPcs.count(pc) != 0) continue;
-        const auto it = byPc.find(pc);
-        if (it == byPc.end() || it->second->totalCost == 0) continue;
-        const auto v = verifier.verdictFor(pc, verifyConfig, nullptr);
-        if (v.verdict != analysis::FoldLegality::kProvablySafe) continue;
-        Candidate c;
-        c.pc = pc;
-        c.execs = it->second->execBound;
-        c.score = static_cast<double>(it->second->totalCost);
-        c.verdict = v.verdict;
-        selection.dynamic.push_back(c);
-    }
-    std::sort(selection.dynamic.begin(), selection.dynamic.end(),
-              [](const Candidate& a, const Candidate& b) {
-                  if (a.score != b.score) return a.score > b.score;
-                  return a.pc < b.pc;
-              });
-    if (selection.dynamic.size() > config.bitCapacity)
-        selection.dynamic.resize(config.bitCapacity);
-    return selection;
-}
-
-const char* hardnessName(BranchHardness hardness) {
-    switch (hardness) {
-        case BranchHardness::kColdSite: return "cold-site";
-        case BranchHardness::kWellPredicted: return "well-predicted";
-        case BranchHardness::kHistoryPredictable: return "history-predictable";
-        case BranchHardness::kHardToPredict: return "hard-to-predict";
-    }
-    return "?";
-}
-
-std::uint64_t PredictorAwareSelection::countOf(BranchHardness h) const {
-    std::uint64_t n = 0;
-    for (const auto& [pc, cls] : hardness)
-        if (cls == h) ++n;
-    return n;
-}
-
-bool PredictorAwareSelection::foldsSubsetOfBaselineEra() const {
-    std::unordered_set<std::uint32_t> era;
-    for (const Candidate& c : baselineEra) era.insert(c.pc);
-    for (const Candidate& c : folded)
-        if (era.count(c.pc) == 0) return false;
-    return true;
-}
-
-PredictorAwareSelection selectBranchesPredictorAware(
-    const Program& program, const ProgramProfile& profile,
-    const PredictionProfile& predictions,
-    const std::map<std::uint32_t, double>& baselineAccuracyByPc,
-    const SelectionConfig& config, const PredictorAwareConfig& aware) {
-    ASBR_ENSURE(config.threshold >= 2 && config.threshold <= 4,
-                "threshold must be 2, 3 or 4");
-    PredictorAwareSelection selection;
-    const std::map<std::uint32_t, double> strongAccuracy =
-        predictions.accuracyMap();
-    const auto minExecs = std::max<std::uint64_t>(
+Selection selectBranches(const Program& program, const ProgramProfile& profile,
+                         const AccuracyMap& accuracyByPc,
+                         const SelectionConfig& config,
+                         const AccuracyMap* strongAccuracyByPc) {
+    ensureThreshold(config);
+    const bool aware = config.policy == SelectionPolicy::kPredictorAware;
+    ASBR_ENSURE(aware == (strongAccuracyByPc != nullptr),
+                "selection: a strong accuracy map goes with the "
+                "predictor-aware policy, and only with it");
+    Evidence evidence;
+    evidence.minExecs = std::max<std::uint64_t>(
         static_cast<std::uint64_t>(config.minExecFraction *
                                    static_cast<double>(profile.instructions)),
         1);
-
-    // Classify every structurally foldable site.
-    std::unordered_set<std::uint32_t> hardPcs;
+    evidence.minFoldable = kMinFoldableFraction;
     for (const auto& [pc, bp] : profile.branches) {
-        if (bp.execs == 0) continue;
-        if (!isExtractableBranch(program, pc)) continue;
-        if (bp.foldableFraction(config.threshold) < config.minFoldableFraction)
-            continue;
-        BranchHardness cls;
-        if (bp.execs < minExecs) {
-            cls = BranchHardness::kColdSite;
-        } else {
-            const auto strongIt = strongAccuracy.find(pc);
-            // Sites the strong predictor never saw executed contribute no
-            // mispredictions — treat as won.
-            const double strong =
-                strongIt == strongAccuracy.end() ? 1.0 : strongIt->second;
-            if (strong < aware.wellPredictedAccuracy) {
-                cls = BranchHardness::kHardToPredict;
-                hardPcs.insert(pc);
-            } else {
-                const auto baseIt = baselineAccuracyByPc.find(pc);
-                const double base =
-                    baseIt == baselineAccuracyByPc.end() ? 1.0 : baseIt->second;
-                cls = base < aware.wellPredictedAccuracy
-                          ? BranchHardness::kHistoryPredictable
-                          : BranchHardness::kWellPredicted;
-            }
-        }
-        selection.hardness.emplace(pc, cls);
+        if (bp.execs == 0 || !isExtractableBranch(program, pc)) continue;
+        Candidate c;
+        c.pc = pc;
+        c.execs = bp.execs;
+        c.takenRate = bp.takenRate();
+        c.foldableFraction = bp.foldableFraction(config.threshold);
+        evidence.sites.push_back(scored(c, accuracyByPc));
     }
-
-    // The bimodal-era selection: same policy knobs, baseline accuracy.
-    selection.baselineEra =
-        selectImpl(program, profile, baselineAccuracyByPc, config, nullptr);
-
-    // The aware selection: score against the strong predictor and keep only
-    // sites it demonstrably loses.
-    for (const Candidate& c :
-         selectImpl(program, profile, strongAccuracy, config, nullptr))
-        if (hardPcs.count(c.pc) != 0) selection.folded.push_back(c);
-
-    std::unordered_set<std::uint32_t> foldedPcs;
-    for (const Candidate& c : selection.folded) foldedPcs.insert(c.pc);
-    for (const Candidate& c : selection.baselineEra) {
-        if (foldedPcs.count(c.pc) != 0) continue;
-        ++selection.reclaimedSlots;
-        selection.reclaimedPcs.push_back(c.pc);
+    if (config.requireStaticallySafe) {
+        evidence.weakestVerdict = analysis::FoldLegality::kSafeOnProfiledPaths;
+        evidence.observed.emplace();
+        for (const auto& [pc, bp] : profile.branches)
+            if (bp.execs > 0) evidence.observed->emplace(pc, bp.minDistance);
     }
-    return selection;
+    evidence.staticSplit = config.policy == SelectionPolicy::kStaticFolds;
+    evidence.countsReclaimed = config.policy != SelectionPolicy::kProfiled;
+    return selectFrom(program, evidence, config, strongAccuracyByPc);
 }
 
-void PredictorAwareSelectionMetrics::countSelection(
-    const PredictorAwareSelection& selection) {
-    folded = selection.folded.size();
+Selection selectBranches(
+    const Program& program,
+    const std::vector<analysis::timing::BranchCostRecord>& ranking,
+    const SelectionConfig& config) {
+    ensureThreshold(config);
+    ASBR_ENSURE(config.policy != SelectionPolicy::kPredictorAware,
+                "selection: the cost ranking has no predictor to be aware of");
+    std::map<std::uint32_t, const analysis::timing::BranchCostRecord*> byPc;
+    for (const auto& r : ranking) byPc.emplace(r.pc, &r);
+    // Every extractable branch may fold statically, ranked by its worst-case
+    // execution bound; the BIT takes only branches the verifier proves safe
+    // on *every* path — there is no profile to justify anything weaker.
+    Evidence evidence;
+    for (const std::uint32_t pc : allConditionalBranches(program)) {
+        Candidate c;
+        c.pc = pc;
+        if (const auto it = byPc.find(pc); it != byPc.end()) {
+            c.execs = it->second->execBound;
+            c.score = static_cast<double>(it->second->totalCost);
+        }
+        evidence.sites.push_back(c);
+    }
+    evidence.weakestVerdict = analysis::FoldLegality::kProvablySafe;
+    evidence.staticSplit = true;
+    return selectFrom(program, evidence, config, nullptr);
+}
+
+void loadSelection(AsbrUnit& unit, const Program& program,
+                   const Selection& selection) {
+    std::vector<std::uint32_t> pcs;
+    pcs.reserve(selection.residents.size());
+    for (const Candidate& c : selection.residents) pcs.push_back(c.pc);
+    unit.loadBank(0, extractBranchInfos(program, pcs));
+    if (selection.statics.empty()) return;
+    std::vector<StaticFoldEntry> entries;
+    entries.reserve(selection.statics.size());
+    for (const StaticFoldCandidate& s : selection.statics)
+        entries.push_back(extractStaticFold(program, s.pc, s.taken));
+    unit.loadStaticFolds(entries, selection.bitSlotsReclaimed);
+}
+
+void PredictorAwareSelectionMetrics::countSelection(const Selection& selection) {
+    folded = selection.residents.size();
     hardSites = selection.countOf(BranchHardness::kHardToPredict);
-    keptForPredictor =
-        selection.countOf(BranchHardness::kWellPredicted) +
-        selection.countOf(BranchHardness::kHistoryPredictable);
-    reclaimedSlots = selection.reclaimedSlots;
+    keptForPredictor = selection.countOf(BranchHardness::kWellPredicted) +
+                       selection.countOf(BranchHardness::kHistoryPredictable);
+    reclaimedSlots = selection.bitSlotsReclaimed;
 }
 
 void PredictorAwareSelectionMetrics::publish(MetricRegistry& registry) const {
@@ -316,9 +263,9 @@ void PredictorAwareSelectionMetrics::publish(MetricRegistry& registry) const {
         .set(reclaimedSlots);
 }
 
-void StaticCostSelectionMetrics::countSelection(const FoldSelection& selection) {
+void StaticCostSelectionMetrics::countSelection(const Selection& selection) {
     staticFolds = selection.statics.size();
-    bitResidents = selection.dynamic.size();
+    bitResidents = selection.residents.size();
 }
 
 void StaticCostSelectionMetrics::publish(MetricRegistry& registry) const {

@@ -407,7 +407,7 @@ cont:   addiu s0, s0, -1
 
     SelectionConfig cfg;
     cfg.minExecFraction = 0.0;
-    const auto loose = selectFoldableBranches(p, prof, {}, cfg);
+    const auto loose = selectBranches(p, prof, {}, cfg).residents;
     const auto hasRisky = [&](const std::vector<Candidate>& cs) {
         return std::any_of(cs.begin(), cs.end(), [&](const Candidate& c) {
             return c.pc == riskyPc;
@@ -417,7 +417,7 @@ cont:   addiu s0, s0, -1
     EXPECT_FALSE(loose.front().verdict.has_value());
 
     cfg.requireStaticallySafe = true;
-    const auto strict = selectFoldableBranches(p, prof, {}, cfg);
+    const auto strict = selectBranches(p, prof, {}, cfg).residents;
     EXPECT_FALSE(hasRisky(strict));
     // Everything that survives carries a non-Illegal verdict.
     for (const Candidate& c : strict) {
@@ -479,8 +479,9 @@ TEST(VerifierIntegrationTest, VerdictsAgreeWithDynamicFoldability) {
                     << "pc 0x" << std::hex << pc;
                 EXPECT_NE(v.verdict, FoldLegality::kProvablySafe);
             }
-            if (v.verdict == FoldLegality::kProvablySafe)
+            if (v.verdict == FoldLegality::kProvablySafe) {
                 EXPECT_GE(bp.minDistance, kThreshold);
+            }
         }
 
         // The strict selection never emits an Illegal branch into the BIT,
@@ -488,9 +489,11 @@ TEST(VerifierIntegrationTest, VerdictsAgreeWithDynamicFoldability) {
         SelectionConfig selCfg;
         selCfg.minExecFraction = 0.0;
         selCfg.requireStaticallySafe = true;
-        const auto candidates = selectFoldableBranches(p, prof, {}, selCfg);
-        ASSERT_FALSE(candidates.empty());
-        const auto bank = extractBranchInfos(p, candidatePcs(candidates));
+        std::vector<std::uint32_t> pcs;
+        for (const Candidate& c : selectBranches(p, prof, {}, selCfg).residents)
+            pcs.push_back(c.pc);
+        ASSERT_FALSE(pcs.empty());
+        const auto bank = extractBranchInfos(p, pcs);
         const auto report = verifier.verifyBank(bank, config, &observed);
         EXPECT_TRUE(report.ok());
         for (const auto& b : report.branches)

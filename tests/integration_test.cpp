@@ -75,12 +75,12 @@ int main() {
     SelectionConfig selCfg;
     selCfg.bitCapacity = 8;
     selCfg.minExecFraction = 0.0;
-    const auto candidates = selectFoldableBranches(p, profile, accuracy, selCfg);
-    ASSERT_FALSE(candidates.empty());
+    const Selection selection = selectBranches(p, profile, accuracy, selCfg);
+    ASSERT_FALSE(selection.residents.empty());
 
     // Fold them and verify against both baselines.
     AsbrUnit unit;
-    unit.loadBank(0, extractBranchInfos(p, candidatePcs(candidates)));
+    loadSelection(unit, p, selection);
     auto aux = makeBimodal(256, 512);
     const PipelineResult folded = runPipe(p, *aux, &unit);
 
@@ -130,9 +130,10 @@ int main() {
     SelectionConfig selCfg;
     selCfg.bitCapacity = 16;
     selCfg.minExecFraction = 0.0;
-    const auto candidates = selectFoldableBranches(p, profile, {}, selCfg);
-    ASSERT_GE(candidates.size(), 2u);
-    std::vector<std::uint32_t> sorted = candidatePcs(candidates);
+    const Selection selection = selectBranches(p, profile, {}, selCfg);
+    ASSERT_GE(selection.residents.size(), 2u);
+    std::vector<std::uint32_t> sorted;
+    for (const Candidate& c : selection.residents) sorted.push_back(c.pc);
     std::sort(sorted.begin(), sorted.end());
     const std::vector<std::uint32_t> bank0(sorted.begin(),
                                            sorted.begin() + sorted.size() / 2);
@@ -183,8 +184,8 @@ int main() {
     const ProgramProfile profile = profileProgram(p, profMem);
     SelectionConfig selCfg;
     selCfg.minExecFraction = 0.0;
-    const auto candidates = selectFoldableBranches(p, profile, {}, selCfg);
-    ASSERT_FALSE(candidates.empty());
+    const Selection selection = selectBranches(p, profile, {}, selCfg);
+    ASSERT_FALSE(selection.residents.empty());
 
     PipelineConfig harsh;
     harsh.icache = {256, 16, 1, 20};
@@ -201,7 +202,7 @@ int main() {
         AsbrConfig cfg;
         cfg.updateStage = stage;
         AsbrUnit unit(cfg);
-        unit.loadBank(0, extractBranchInfos(p, candidatePcs(candidates)));
+        loadSelection(unit, p, selection);
         auto pred = makeBimodal(64, 64);
         const PipelineResult r = runPipe(p, *pred, &unit, harsh);
         EXPECT_EQ(r.output, base.output) << "stage " << static_cast<int>(stage);
@@ -236,14 +237,14 @@ int main() {
     const ProgramProfile profile = profileProgram(p, profMem);
     SelectionConfig selCfg;
     selCfg.minExecFraction = 0.0;
-    const auto candidates = selectFoldableBranches(p, profile, {}, selCfg);
-    ASSERT_FALSE(candidates.empty());
+    const Selection selection = selectBranches(p, profile, {}, selCfg);
+    ASSERT_FALSE(selection.residents.empty());
 
     auto big = makeBimodal2048();
     const PipelineResult bigRun = runPipe(p, *big);
 
     AsbrUnit unit;
-    unit.loadBank(0, extractBranchInfos(p, candidatePcs(candidates)));
+    loadSelection(unit, p, selection);
     auto small = makeBimodal(256, 512);
     const PipelineResult smallRun = runPipe(p, *small, &unit);
 
@@ -306,8 +307,10 @@ TEST(IntegrationTest, StaticFoldsFireOnG721AtNoCycleCost) {
 
     SelectionConfig config;
     config.bitCapacity = 16;
-    const FoldSelection selection =
-        selectWithStaticVerdicts(p, profile, {}, config);
+    config.policy = SelectionPolicy::kStaticFolds;
+    const Selection selection = selectBranches(p, profile, {}, config);
+    config.policy = SelectionPolicy::kProfiled;
+    const Selection dynOnly = selectBranches(p, profile, {}, config);
     ASSERT_FALSE(selection.statics.empty())
         << "g721-enc lost its statically-decided branches";
 
@@ -317,18 +320,7 @@ TEST(IntegrationTest, StaticFoldsFireOnG721AtNoCycleCost) {
         loadPcmInput(mem, p, pcm);
         auto predictor = makeBimodal2048();
         AsbrUnit unit;
-        if (useStatics) {
-            unit.loadBank(0,
-                          extractBranchInfos(p, candidatePcs(selection.dynamic)));
-            std::vector<StaticFoldEntry> entries;
-            for (const StaticFoldCandidate& s : selection.statics)
-                entries.push_back(extractStaticFold(p, s.pc, s.taken));
-            unit.loadStaticFolds(std::move(entries),
-                                 selection.bitSlotsReclaimed);
-        } else {
-            const auto dynOnly = selectFoldableBranches(p, profile, {}, config);
-            unit.loadBank(0, extractBranchInfos(p, candidatePcs(dynOnly)));
-        }
+        loadSelection(unit, p, useStatics ? selection : dynOnly);
         PipelineSim sim(p, mem, *predictor, {}, &unit);
         const PipelineResult r = sim.run();
         EXPECT_TRUE(r.exited && r.exitCode == 0);

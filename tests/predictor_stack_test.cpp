@@ -6,6 +6,7 @@
 // and reclaimed-slot guarantees).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -341,10 +342,17 @@ int main() {
     SelectionConfig config;
     config.bitCapacity = 8;
     config.minExecFraction = 0.0;
-    const PredictorAwareSelection selection = selectBranchesPredictorAware(
-        p, profile, strong, baseline.accuracyMap(), config);
+    const std::map<std::uint32_t, double> baselineAccuracy =
+        baseline.accuracyMap();
+    const std::map<std::uint32_t, double> strongAccuracy = strong.accuracyMap();
+    const Selection plain = selectBranches(p, profile, baselineAccuracy, config);
+    config.policy = SelectionPolicy::kPredictorAware;
+    const Selection selection = selectBranches(p, profile, baselineAccuracy,
+                                               config, &strongAccuracy);
 
-    EXPECT_FALSE(selection.hardness.empty());
+    std::uint64_t classified = 0;
+    for (const std::uint64_t n : selection.hardness) classified += n;
+    EXPECT_GT(classified, 0u);
     EXPECT_GT(selection.countOf(BranchHardness::kHardToPredict), 0u)
         << "the LFSR branch should defeat tage";
     EXPECT_GT(selection.countOf(BranchHardness::kWellPredicted) +
@@ -353,29 +361,37 @@ int main() {
         << "tage should win at least the loop or toggle branches";
 
     // The headline guarantees: the aware policy folds a strict subset of
-    // what the bimodal-era policy folded, and every era slot it skips is
-    // reported as reclaimed.
-    EXPECT_FALSE(selection.folded.empty());
-    EXPECT_TRUE(selection.foldsSubsetOfBaselineEra());
-    EXPECT_LT(selection.folded.size(), selection.baselineEra.size());
-    EXPECT_EQ(selection.reclaimedSlots, selection.reclaimedPcs.size());
-    EXPECT_GT(selection.reclaimedSlots, 0u);
-    EXPECT_EQ(selection.folded.size() + selection.reclaimedSlots,
-              selection.baselineEra.size());
+    // what the bimodal-era (plain) policy folded, and every era slot it
+    // skips is reported as reclaimed.
+    const auto holds = [](const Selection& s, std::uint32_t pc) {
+        return std::any_of(s.residents.begin(), s.residents.end(),
+                           [pc](const Candidate& c) { return c.pc == pc; });
+    };
+    EXPECT_FALSE(selection.residents.empty());
+    for (const Candidate& candidate : selection.residents)
+        EXPECT_TRUE(holds(plain, candidate.pc));
+    EXPECT_LT(selection.residents.size(), plain.residents.size());
+    std::uint64_t handedBack = 0;
+    for (const Candidate& candidate : plain.residents)
+        if (!holds(selection, candidate.pc)) ++handedBack;
+    EXPECT_EQ(selection.bitSlotsReclaimed, handedBack);
+    EXPECT_GT(selection.bitSlotsReclaimed, 0u);
+    EXPECT_EQ(selection.residents.size() + selection.bitSlotsReclaimed,
+              plain.residents.size());
 
-    // Every folded site is classified hard.
-    for (const Candidate& candidate : selection.folded) {
-        const auto it = selection.hardness.find(candidate.pc);
-        ASSERT_NE(it, selection.hardness.end());
-        EXPECT_EQ(it->second, BranchHardness::kHardToPredict);
+    // Every folded site is hard: the strong predictor loses it.
+    for (const Candidate& candidate : selection.residents) {
+        const auto it = strongAccuracy.find(candidate.pc);
+        ASSERT_NE(it, strongAccuracy.end());
+        EXPECT_LT(it->second, kWellPredictedAccuracy);
     }
 
     PredictorAwareSelectionMetrics metrics;
     metrics.countSelection(selection);
-    EXPECT_EQ(metrics.folded, selection.folded.size());
+    EXPECT_EQ(metrics.folded, selection.residents.size());
     EXPECT_EQ(metrics.hardSites,
               selection.countOf(BranchHardness::kHardToPredict));
-    EXPECT_EQ(metrics.reclaimedSlots, selection.reclaimedSlots);
+    EXPECT_EQ(metrics.reclaimedSlots, selection.bitSlotsReclaimed);
 }
 
 TEST(PredictorAwareSelectionTest, EngineRunReportsAwareCounters) {
@@ -392,8 +408,12 @@ TEST(PredictorAwareSelectionTest, EngineRunReportsAwareCounters) {
     const std::vector<JobResult> results = engine.run({job});
     ASSERT_EQ(results.size(), 1u);
     const JobResult& result = results[0];
-    EXPECT_TRUE(result.predictorAware);
-    EXPECT_GT(result.awareHardSites + result.awareKeptForPredictor, 0u);
+    EXPECT_TRUE(result.report.meta.predictorAware);
+    EXPECT_GT(result.selection.countOf(BranchHardness::kHardToPredict) +
+                  result.selection.countOf(BranchHardness::kWellPredicted) +
+                  result.selection.countOf(
+                      BranchHardness::kHistoryPredictable),
+              0u);
 
     const std::string json = simReportJson(result.report).dump(2);
     EXPECT_NE(json.find("\"predictor_aware\": true"), std::string::npos);

@@ -115,7 +115,7 @@ skip:   addiu s0, s0, -1
     cfg.threshold = 3;
     cfg.bitCapacity = 16;
     cfg.minExecFraction = 0.0;
-    const auto cands = selectFoldableBranches(p, prof, accuracy, cfg);
+    const auto cands = selectBranches(p, prof, accuracy, cfg).residents;
     ASSERT_EQ(cands.size(), 2u);
     EXPECT_EQ(cands[0].pc, hardPc);
     EXPECT_EQ(cands[1].pc, easyPc);
@@ -142,7 +142,7 @@ TEST(SelectionTest, CapacityTruncates) {
     SelectionConfig cfg;
     cfg.bitCapacity = 4;
     cfg.minExecFraction = 0.0;
-    const auto cands = selectFoldableBranches(p, prof, {}, cfg);
+    const auto cands = selectBranches(p, prof, {}, cfg).residents;
     EXPECT_EQ(cands.size(), 4u);
 }
 
@@ -158,7 +158,7 @@ loop:   addiu s0, s0, -1
     const ProgramProfile prof = profileProgram(p, mem);
     SelectionConfig cfg;
     cfg.minExecFraction = 0.0;
-    EXPECT_TRUE(selectFoldableBranches(p, prof, {}, cfg).empty());
+    EXPECT_TRUE(selectBranches(p, prof, {}, cfg).residents.empty());
 }
 
 TEST(SelectionTest, RareBranchesFiltered) {
@@ -175,7 +175,7 @@ loop:   addiu s0, s0, -1
     const ProgramProfile prof = profileProgram(p, mem);
     SelectionConfig cfg;
     cfg.minExecFraction = 0.01;  // 1% of ~4000 instructions
-    const auto cands = selectFoldableBranches(p, prof, {}, cfg);
+    const auto cands = selectBranches(p, prof, {}, cfg).residents;
     ASSERT_EQ(cands.size(), 1u);
     EXPECT_EQ(cands[0].pc, kTextBase + 4 * 4);
 }
@@ -187,7 +187,7 @@ TEST(SelectionTest, ThresholdValidation) {
     const ProgramProfile prof = profileProgram(p, mem);
     SelectionConfig cfg;
     cfg.threshold = 5;
-    EXPECT_THROW(selectFoldableBranches(p, prof, {}, cfg), EnsureError);
+    EXPECT_THROW((void)selectBranches(p, prof, {}, cfg), EnsureError);
 }
 
 }  // namespace

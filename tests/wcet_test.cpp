@@ -13,7 +13,6 @@
 #include "analysis/timing/wcet.hpp"
 #include "analysis/verify.hpp"
 #include "asbr/asbr_unit.hpp"
-#include "asbr/extract.hpp"
 #include "asm/assembler.hpp"
 #include "bp/predictor.hpp"
 #include "bp/bimodal.hpp"
@@ -190,17 +189,16 @@ TEST(StaticCostSelectionTest, RanksByCostAndRespectsCapacity) {
 
     SelectionConfig config;
     config.bitCapacity = 1;
-    const FoldSelection sel =
-        selectBranchesByStaticCost(p, baseline.branches, config);
-    ASSERT_EQ(sel.dynamic.size(), 1u);
+    const Selection sel = selectBranches(p, baseline.branches, config);
+    ASSERT_EQ(sel.residents.size(), 1u);
     // The ranking is totalCost-descending, so the capacity-1 pick is the
     // highest-cost branch in the baseline ranking.
-    EXPECT_EQ(sel.dynamic.front().pc, baseline.branches.front().pc);
-    EXPECT_GT(sel.dynamic.front().score, 0.0);
+    EXPECT_EQ(sel.residents.front().pc, baseline.branches.front().pc);
+    EXPECT_GT(sel.residents.front().score, 0.0);
 
-    const FoldSelection both = selectBranchesByStaticCost(p, baseline.branches);
-    EXPECT_EQ(both.dynamic.size(), 2u);
-    EXPECT_GE(both.dynamic[0].score, both.dynamic[1].score);
+    const Selection both = selectBranches(p, baseline.branches);
+    EXPECT_EQ(both.residents.size(), 2u);
+    EXPECT_GE(both.residents[0].score, both.residents[1].score);
 }
 
 TEST(StaticCostSelectionTest, StaticallyDecidedBranchGoesToStaticTable) {
@@ -216,34 +214,20 @@ TEST(StaticCostSelectionTest, StaticallyDecidedBranchGoesToStaticTable) {
     Timing t(p);
     const WcetResult baseline = t.engine.compute({});
     ASSERT_TRUE(baseline.bounded) << baseline.reason;
-    const FoldSelection sel = selectBranchesByStaticCost(p, baseline.branches);
+    const Selection sel = selectBranches(p, baseline.branches);
     ASSERT_EQ(sel.statics.size(), 1u);
     EXPECT_TRUE(sel.statics.front().taken);
-    for (const Candidate& c : sel.dynamic)
+    for (const Candidate& c : sel.residents)
         EXPECT_NE(c.pc, sel.statics.front().pc);
 }
 
 // -------------------------------------------------------------- soundness ----
 
-std::set<std::uint32_t> foldedPcSet(const FoldSelection& sel) {
+std::set<std::uint32_t> foldedPcSet(const Selection& sel) {
     std::set<std::uint32_t> pcs;
     for (const StaticFoldCandidate& s : sel.statics) pcs.insert(s.pc);
-    for (const Candidate& c : sel.dynamic) pcs.insert(c.pc);
+    for (const Candidate& c : sel.residents) pcs.insert(c.pc);
     return pcs;
-}
-
-std::unique_ptr<AsbrUnit> unitFor(const Program& p, const FoldSelection& sel) {
-    AsbrConfig config;
-    config.updateStage = ValueStage::kMemEnd;  // threshold 3
-    auto unit = std::make_unique<AsbrUnit>(config);
-    std::vector<std::uint32_t> pcs;
-    for (const Candidate& c : sel.dynamic) pcs.push_back(c.pc);
-    unit->loadBank(0, extractBranchInfos(p, pcs));
-    std::vector<StaticFoldEntry> statics;
-    for (const StaticFoldCandidate& s : sel.statics)
-        statics.push_back(extractStaticFold(p, s.pc, s.taken));
-    unit->loadStaticFolds(std::move(statics), sel.bitSlotsReclaimed);
-    return unit;
 }
 
 TEST(WcetSoundnessTest, BoundCoversMeasuredCyclesOnAllWorkloads) {
@@ -259,9 +243,8 @@ TEST(WcetSoundnessTest, BoundCoversMeasuredCyclesOnAllWorkloads) {
                                       << baseline.reason;
 
         SelectionConfig selConfig;
-        const FoldSelection sel =
-            selectBranchesByStaticCost(prepared.program, baseline.branches,
-                                       selConfig);
+        const Selection sel =
+            selectBranches(prepared.program, baseline.branches, selConfig);
         const std::set<std::uint32_t> foldedPcs = foldedPcSet(sel);
         const WcetResult folded = t.engine.compute(foldedPcs);
         ASSERT_TRUE(folded.bounded) << benchName(id) << ": " << folded.reason;
@@ -270,10 +253,10 @@ TEST(WcetSoundnessTest, BoundCoversMeasuredCyclesOnAllWorkloads) {
         const std::uint64_t measuredBaseline =
             driver::runPipeline(prepared, *baselinePredictor).stats.cycles;
         const auto foldedPredictor = driver::makePredictorByToken("bimodal");
-        const auto unit = unitFor(prepared.program, sel);
+        AsbrUnit unit;  // the default update stage: threshold 3
+        loadSelection(unit, prepared.program, sel);
         const std::uint64_t measuredFolded =
-            driver::runPipeline(prepared, *foldedPredictor, unit.get())
-                .stats.cycles;
+            driver::runPipeline(prepared, *foldedPredictor, &unit).stats.cycles;
 
         EXPECT_GE(baseline.cycles, measuredBaseline) << benchName(id);
         EXPECT_GE(folded.cycles, measuredFolded) << benchName(id);
@@ -312,8 +295,7 @@ TEST(WcetSoundnessTest, BoundCoversMeasuredCyclesOnRandomPrograms) {
         ASSERT_TRUE(r.exited && r.exitCode == 0) << "seed " << seed;
         EXPECT_GE(baseline.cycles, r.stats.cycles) << "seed " << seed;
 
-        const FoldSelection sel =
-            selectBranchesByStaticCost(p, baseline.branches);
+        const Selection sel = selectBranches(p, baseline.branches);
         const WcetResult folded = t.engine.compute(foldedPcSet(sel));
         ASSERT_TRUE(folded.bounded) << "seed " << seed;
         EXPECT_LE(folded.cycles, baseline.cycles) << "seed " << seed;

@@ -272,8 +272,9 @@ int cmdRun(int argc, char** argv) {
         std::fprintf(stderr,
                      "static folds: %zu branch(es) in the static table, "
                      "%llu BIT slot(s) reclaimed\n",
-                     r.staticFoldCount,
-                     static_cast<unsigned long long>(r.bitSlotsReclaimed));
+                     r.selection.statics.size(),
+                     static_cast<unsigned long long>(
+                         r.selection.bitSlotsReclaimed));
 
     if (r.sampled != nullptr) {
         const SampledResult& s = *r.sampled;

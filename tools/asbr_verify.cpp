@@ -393,12 +393,12 @@ int cmdWcet(int argc, char** argv) {
         // the folded bound is exactly what the measured folded run loads.
         SelectionConfig selCfg;
         selCfg.threshold = threshold;
-        const FoldSelection selection =
-            selectBranchesByStaticCost(program, baseline.branches, selCfg);
+        const Selection selection =
+            selectBranches(program, baseline.branches, selCfg);
         std::set<std::uint32_t> foldedPcs;
         for (const StaticFoldCandidate& s : selection.statics)
             foldedPcs.insert(s.pc);
-        for (const Candidate& c : selection.dynamic) foldedPcs.insert(c.pc);
+        for (const Candidate& c : selection.residents) foldedPcs.insert(c.pc);
 
         const analysis::timing::WcetResult folded = engine.compute(foldedPcs);
 
@@ -417,18 +417,9 @@ int cmdWcet(int argc, char** argv) {
 
         const auto makeUnit = [&] {
             AsbrConfig unitConfig;
-            unitConfig.updateStage = threshold == 2   ? ValueStage::kExEnd
-                                     : threshold == 3 ? ValueStage::kMemEnd
-                                                      : ValueStage::kCommit;
+            unitConfig.updateStage = driver::stageForThreshold(threshold);
             auto unit = std::make_unique<AsbrUnit>(unitConfig);
-            std::vector<std::uint32_t> pcs;
-            for (const Candidate& c : selection.dynamic) pcs.push_back(c.pc);
-            unit->loadBank(0, extractBranchInfos(program, pcs));
-            std::vector<StaticFoldEntry> statics;
-            for (const StaticFoldCandidate& s : selection.statics)
-                statics.push_back(extractStaticFold(program, s.pc, s.taken));
-            unit->loadStaticFolds(std::move(statics),
-                                  selection.bitSlotsReclaimed);
+            loadSelection(*unit, program, selection);
             return unit;
         };
 
@@ -819,11 +810,12 @@ int main(int argc, char** argv) {
             selCfg.threshold = threshold;
             selCfg.minExecFraction = 0.0;
             selCfg.requireStaticallySafe = requireSafe;
-            const auto candidates =
-                selectFoldableBranches(program, profile, {}, selCfg);
-            const auto bank =
-                extractBranchInfos(program, candidatePcs(candidates));
-            report = verifier.verifyBank(bank, config,
+            std::vector<std::uint32_t> pcs;
+            for (const Candidate& c :
+                 selectBranches(program, profile, {}, selCfg).residents)
+                pcs.push_back(c.pc);
+            report = verifier.verifyBank(extractBranchInfos(program, pcs),
+                                         config,
                                          useProfile ? &observed : nullptr);
         }
 

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/ensure.hpp"
-
 namespace asbr::bench {
 
 Options parseOptions(int argc, char** argv) {
@@ -75,18 +73,9 @@ std::string ReportSink::write() const {
     optionsJson.emplace_back("seed", options_.seed);
     const JsonValue doc =
         benchReportJson(generator_, JsonValue(std::move(optionsJson)), runs_);
-    std::string text = doc.dump(2);
-    text += '\n';
-    if (options_.jsonPath == "-") {
-        std::fputs(text.c_str(), stdout);
-    } else {
-        std::FILE* f = std::fopen(options_.jsonPath.c_str(), "w");
-        ASBR_ENSURE(f != nullptr, "cannot open --json output file");
-        std::fputs(text.c_str(), f);
-        std::fclose(f);
-        std::fprintf(stderr, "wrote %zu run report(s) to %s\n", runs_.size(),
-                     options_.jsonPath.c_str());
-    }
+    const std::string text = doc.dump(2) + "\n";
+    driver::writeOutput(generator_.c_str(), options_.jsonPath, text,
+                        std::to_string(runs_.size()) + " run report(s)");
     return text;
 }
 

@@ -50,8 +50,8 @@ void AsbrUnit::publishMetrics(MetricRegistry& registry) const {
         .add(config_.bitCapacity);
     registry
         .counter("asbr.bit_slots_reclaimed",
-                 "BIT slots freed because the branch is handled by the "
-                 "static fold table instead of a BIT entry")
+                 "BIT slots the selection freed: branches moved to the "
+                 "static fold table or handed back to the predictor")
         .add(bitSlotsReclaimed_);
 }
 

@@ -77,9 +77,9 @@ public:
     /// Customization: load statically-decided branches (src/analysis/absint
     /// verdicts).  These fold on every fetch with no BDT dependence and no
     /// BIT occupancy.  `bitSlotsReclaimed` records how many BIT slots the
-    /// old dynamic-only policy would have spent on these branches — freed
-    /// for the next-hottest dynamic candidates; it is a customization fact,
-    /// so reset() leaves it (and the table) in place, like loadBank data.
+    /// selection freed — moved to this table, or handed back to the
+    /// predictor; it is a customization fact, so reset() leaves it (and the
+    /// table) in place, like loadBank data.
     void loadStaticFolds(const std::vector<StaticFoldEntry>& entries,
                          std::uint64_t bitSlotsReclaimed = 0);
 

@@ -1,8 +1,14 @@
 #include "driver/artifacts.hpp"
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <utility>
 
+#include "asm/assembler.hpp"
+#include "cc/compile.hpp"
+#include "cc/schedule.hpp"
 #include "driver/names.hpp"
 #include "util/ensure.hpp"
 #include "workloads/input_gen.hpp"
@@ -35,9 +41,37 @@ Prepared prepare(BenchId id, bool scheduled, std::uint64_t seed,
     return prepared;
 }
 
+Program loadProgramFile(const std::string& path, bool scheduled) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot open '" + path + "'");
+    std::ostringstream source;
+    source << in.rdbuf();
+    try {
+        if (path.ends_with(".s") || path.ends_with(".asm")) {
+            Program program = assemble(source.str());
+            if (scheduled) cc::scheduleConditionChains(program);
+            return program;
+        }
+        cc::CompileOptions options;
+        options.scheduleConditions = scheduled;
+        return cc::compile(source.str(), options).program;
+    } catch (const std::exception& e) {
+        throw std::runtime_error(path + ": " + e.what());
+    }
+}
+
+Prepared prepareFile(const std::string& path, bool scheduled) {
+    Prepared prepared;
+    prepared.scheduled = scheduled;
+    prepared.hasInput = false;
+    prepared.program = loadProgramFile(path, scheduled);
+    return prepared;
+}
+
 Memory makeMemory(const Prepared& prepared) {
     Memory memory;
     memory.loadProgram(prepared.program);
+    if (!prepared.hasInput) return memory;
     if (benchIsEncoder(prepared.id)) {
         loadPcmInput(memory, prepared.program, prepared.pcm);
     } else {
@@ -74,7 +108,10 @@ SampledResult runSampledPipeline(const Prepared& prepared,
 
 WorkloadArtifacts::WorkloadArtifacts(const WorkloadKey& key)
     : key_(key),
-      prepared_(prepare(key.workload, key.scheduled, key.seed, key.samples)) {}
+      prepared_(key.programFile.empty()
+                    ? prepare(key.workload, key.scheduled, key.seed,
+                              key.samples)
+                    : prepareFile(key.programFile, key.scheduled)) {}
 
 const ProgramProfile& WorkloadArtifacts::profile() const {
     std::call_once(profileOnce_, [this] {

@@ -43,10 +43,12 @@
 namespace asbr::driver {
 
 /// A compiled benchmark plus its input data (decoders get codes produced by
-/// the native encoder, mirroring how MediaBench chains encode -> decode).
+/// the native encoder, mirroring how MediaBench chains encode -> decode), or
+/// a program loaded from a file, which has no input.
 struct Prepared {
-    BenchId id;
+    BenchId id = BenchId::kAdpcmEncode;  ///< unused when !hasInput
     bool scheduled = true;  ///< condition-scheduling pass was enabled
+    bool hasInput = true;   ///< false for a program file
     Program program;
     std::vector<std::int16_t> pcm;
     std::vector<std::uint8_t> codes;
@@ -54,6 +56,14 @@ struct Prepared {
 
 [[nodiscard]] Prepared prepare(BenchId id, bool scheduled, std::uint64_t seed,
                                std::size_t samples);
+
+/// Assemble (.s/.asm) or compile (anything else, as mcc C) the file at
+/// `path`.  Throws std::runtime_error with a one-line message naming the
+/// file when it cannot be read or the front end rejects it.
+[[nodiscard]] Program loadProgramFile(const std::string& path, bool scheduled);
+
+/// loadProgramFile as a Prepared with no input buffers.
+[[nodiscard]] Prepared prepareFile(const std::string& path, bool scheduled);
 
 /// Fresh memory image holding program + input.
 [[nodiscard]] Memory makeMemory(const Prepared& prepared);
@@ -79,6 +89,7 @@ struct WorkloadKey {
     bool scheduled = true;
     std::uint64_t seed = 2001;
     std::size_t samples = 0;  ///< actual (capacity-capped) sample count
+    std::string programFile;  ///< SimJob::programFile; empty = `workload`
 
     auto operator<=>(const WorkloadKey&) const = default;
 };

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "driver/names.hpp"
 
@@ -143,9 +144,46 @@ bool consumeSharedOption(const std::string& arg, CliOptions& out,
     return false;
 }
 
+std::optional<SelectionPolicy> policyArg(const std::string& arg,
+                                         SelectionPolicy current,
+                                         const char* program) {
+    if (arg != "--static-folds" && arg != "--predictor-aware")
+        return std::nullopt;
+    const SelectionPolicy named = arg == "--static-folds"
+                                      ? SelectionPolicy::kStaticFolds
+                                      : SelectionPolicy::kPredictorAware;
+    if (current != SelectionPolicy::kProfiled && current != named)
+        cliFail(program, "--static-folds and --predictor-aware are exclusive");
+    return named;
+}
+
 void cliFail(const char* program, const std::string& message) {
     std::fprintf(stderr, "%s: %s\n", program, message.c_str());
     std::exit(2);
+}
+
+void writeOutput(const char* program, const std::string& path,
+                 std::string_view text, std::string_view what) {
+    bool landed = false;
+    if (path == "-") {
+        landed = std::fwrite(text.data(), 1, text.size(), stdout) ==
+                     text.size() &&
+                 std::fflush(stdout) == 0;
+    } else {
+        std::ofstream out(path, std::ios::binary);
+        out.write(text.data(), static_cast<std::streamsize>(text.size()));
+        out.close();
+        landed = !out.fail();
+    }
+    if (!landed) {
+        const std::string where = path == "-" ? "stdout" : "'" + path + "'";
+        std::fprintf(stderr, "%s: cannot write %.*s to %s\n", program,
+                     static_cast<int>(what.size()), what.data(), where.c_str());
+        std::exit(1);
+    }
+    if (path != "-")
+        std::fprintf(stderr, "wrote %.*s to %s\n",
+                     static_cast<int>(what.size()), what.data(), path.c_str());
 }
 
 std::size_t samplesFor(const CliOptions& options, BenchId id) {

@@ -8,6 +8,9 @@
 // error style the CLI-hardening tests enforce:
 //
 //   <program>: unknown option '--frob' (try --help)
+//
+// Every report, trace or dump a tool emits goes through writeOutput(), so a
+// write that does not land fails the command the same way everywhere.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include <string>
 #include <string_view>
 
+#include "profile/selection.hpp"
 #include "sim/sampling.hpp"
 #include "workloads/workloads.hpp"
 
@@ -75,9 +79,23 @@ struct CliOptions {
 [[nodiscard]] bool consumeSharedOption(const std::string& arg, CliOptions& out,
                                        std::string& error);
 
+/// "--static-folds" / "--predictor-aware": the selection policy the flag
+/// names; nullopt for any other argument.  Naming a policy other than a
+/// non-default `current` one is a bad command line: cliFail(program, ...).
+[[nodiscard]] std::optional<SelectionPolicy> policyArg(
+    const std::string& arg, SelectionPolicy current, const char* program);
+
 /// Print "<program>: <message>" to stderr and exit(2) — the uniform
 /// structured rejection for bad command lines.
 [[noreturn]] void cliFail(const char* program, const std::string& message);
+
+/// Write `text` to `path` ("-" = stdout) and flush it.  A file write also
+/// notes "wrote <what> to <path>" on stderr.  When the bytes did not land
+/// (unopenable path, full device, closed stdout) it prints
+/// "<program>: cannot write <what> to '<path>'" (or "to stdout") and exits
+/// 1.
+void writeOutput(const char* program, const std::string& path,
+                 std::string_view text, std::string_view what);
 
 /// Samples to feed a given workload under these options (capped at the
 /// program's buffer capacity).

@@ -28,31 +28,55 @@ EngineConfig engineConfigFor(const CliOptions& options) {
     return config;
 }
 
+namespace {
+
+/// The report name of a job's program: the workload's, or the file's
+/// basename.
+std::string programName(const SimJob& job) {
+    if (job.programFile.empty()) return benchName(job.workload);
+    const std::size_t slash = job.programFile.find_last_of('/');
+    return slash == std::string::npos ? job.programFile
+                                      : job.programFile.substr(slash + 1);
+}
+
+/// Keys double as journal artifact paths: map anything but [A-Za-z0-9-_.]
+/// to '_'.
+void appendFsSafe(std::string& key, std::string_view text) {
+    for (const char c : text) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '-' || c == '_' ||
+                        c == '.';
+        key.push_back(ok ? c : '_');
+    }
+}
+
+}  // namespace
+
 WorkloadKey SimEngine::workloadKeyFor(const SimJob& job) const {
     WorkloadKey key;
     key.workload = job.workload;
+    key.programFile = job.programFile;
     key.scheduled = job.scheduled;
     key.seed = job.seed;
-    const std::size_t capacity = benchMaxSamples(job.workload);
-    key.samples =
-        job.samples == 0 ? capacity : std::min(job.samples, capacity);
+    if (job.programFile.empty()) {
+        const std::size_t capacity = benchMaxSamples(job.workload);
+        key.samples =
+            job.samples == 0 ? capacity : std::min(job.samples, capacity);
+    }
     return key;
 }
 
 SelectionKey SimEngine::selectionKeyFor(const SimJob& job) const {
     SelectionKey key;
     key.workload = workloadKeyFor(job);
-    key.bitEntries =
-        job.bitEntries != 0 ? job.bitEntries : paperBitEntries(job.workload);
+    key.bitEntries = job.bitEntries != 0        ? job.bitEntries
+                     : job.programFile.empty() ? paperBitEntries(job.workload)
+                                               : 16;
     key.updateStage = job.updateStage;
     key.useAccuracy = job.accuracyRef;
-    ASBR_ENSURE(!(job.staticFolds && job.predictorAware),
-                "job: staticFolds and predictorAware are exclusive");
-    if (job.staticFolds) key.policy = SelectionPolicy::kStaticFolds;
-    if (job.predictorAware) {
-        key.policy = SelectionPolicy::kPredictorAware;
+    key.policy = job.policy;
+    if (job.policy == SelectionPolicy::kPredictorAware)
         key.predictorToken = job.predictor;
-    }
     return key;
 }
 
@@ -68,7 +92,9 @@ std::shared_ptr<const SelectionArtifacts> SimEngine::selectionFor(
 
 std::string SimEngine::jobKey(const SimJob& job) const {
     const WorkloadKey w = workloadKeyFor(job);
-    std::string key = benchToken(job.workload);
+    std::string key;
+    appendFsSafe(key, job.programFile.empty() ? benchToken(job.workload)
+                                              : job.programFile);
     key += "-s" + std::to_string(w.seed);
     key += "-n" + std::to_string(w.samples);
     if (w.scheduled) key += "-sched";
@@ -98,12 +124,7 @@ std::string SimEngine::jobKey(const SimJob& job) const {
     // only by figure must not alias (sanitized: keys are fs-safe).
     if (!job.figure.empty()) {
         key += "-f";
-        for (const char c : job.figure) {
-            const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                            (c >= '0' && c <= '9') || c == '-' || c == '_' ||
-                            c == '.';
-            key.push_back(ok ? c : '_');
-        }
+        appendFsSafe(key, job.figure);
     }
     return key;
 }
@@ -194,7 +215,7 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
             .count();
 
     RunMeta meta;
-    meta.benchmark = benchName(job.workload);
+    meta.benchmark = programName(job);
     meta.predictor = predictor->name();
     meta.predictorToken = predictor->token();
     meta.figure = job.figure;
@@ -205,7 +226,7 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
         meta.asbr = true;
         meta.bitEntries = unit->config().bitCapacity;
         meta.updateStage = valueStageName(unit->config().updateStage);
-        meta.predictorAware = job.predictorAware;
+        meta.predictorAware = job.policy == SelectionPolicy::kPredictorAware;
     }
 
     out.stats = runStats;
@@ -217,7 +238,7 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
         out.selection = selection->selection();
         out.unitStats = unit->stats();
         out.unitStorageBits = unit->storageBits();
-        if (job.predictorAware) {
+        if (job.policy == SelectionPolicy::kPredictorAware) {
             PredictorAwareSelectionMetrics aware;
             aware.countSelection(out.selection);
             aware.publish(out.report.registry);

@@ -1,13 +1,13 @@
 // SimJob — the declarative description of one cycle-accurate simulation run.
 //
-// A job names a workload (+ input seed and sample count), a predictor token,
-// and an optional ASBR customization (BIT size, BDT update stage, parity
-// protection, static folds).  It carries no live objects: everything a run
-// needs is constructed by the SimEngine from the job's fields, with the
-// expensive load -> profile -> select artifacts resolved through a shared
-// immutable cache and the mutable hardware state (predictor, AsbrUnit,
-// memory image, MetricRegistry, Tracer) built fresh per run so two engine
-// workers can never share hot-path state.
+// A job names a workload (+ input seed and sample count) or a program file,
+// a predictor token, and an optional ASBR customization (BIT size, BDT update
+// stage, parity protection, selection policy).  It carries no live objects:
+// everything a run needs is constructed by the SimEngine from the job's
+// fields, with the expensive load -> profile -> select artifacts resolved
+// through a shared immutable cache and the mutable hardware state
+// (predictor, AsbrUnit, memory image, MetricRegistry, Tracer) built fresh per
+// run so two engine workers can never share hot-path state.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +29,10 @@ namespace asbr::driver {
 /// fields, build grids of them.
 struct SimJob {
     BenchId workload = BenchId::kAdpcmEncode;
+    /// A C (or .s/.asm assembly) file to run instead of `workload`; empty =
+    /// run the workload.  A file program has no input buffers, so `seed` and
+    /// `samples` do not apply, and its BIT defaults to 16 entries.
+    std::string programFile;
     bool scheduled = true;        ///< condition-scheduling compiler pass
     std::uint64_t seed = 2001;    ///< input-generator seed
     std::size_t samples = 0;      ///< input samples (0 = buffer capacity)
@@ -40,16 +44,15 @@ struct SimJob {
     std::size_t bitEntries = 0;   ///< 0 = the paper's count for the workload
     ValueStage updateStage = ValueStage::kMemEnd;
     bool parityProtected = false;
-    bool staticFolds = false;     ///< two-class selection + static fold table
+    /// kStaticFolds: two-class selection + static fold table.
+    /// kPredictorAware (docs/predictors.md): profile the job's own fallback
+    /// predictor over the workload and fold only the branches it
+    /// demonstrably loses, handing the rest back to the predictor.
+    SelectionPolicy policy = SelectionPolicy::kProfiled;
     /// Selection uses the bimodal-2048 replay over the ISS branch stream as
     /// its per-site accuracy reference (every figure regenerator does; the
     /// external-predictor ablation deliberately selects without one).
     bool accuracyRef = true;
-    /// Predictor-aware selection (docs/predictors.md): profile the job's own
-    /// fallback predictor over the workload and fold only the branches it
-    /// demonstrably loses, handing the rest back to the predictor.
-    /// Mutually exclusive with staticFolds.
-    bool predictorAware = false;
 
     // Sampled simulation (docs/simulation.md).  When `sampled` is set the
     // run alternates cycle-accurate windows with functional fast-forward

@@ -32,8 +32,7 @@ std::vector<SimJob> expandSweep(const SweepGrid& grid,
                     job.bitEntries = bits;
                     job.updateStage = stage;
                     job.parityProtected = grid.parityProtected;
-                    job.staticFolds = grid.staticFolds;
-                    job.predictorAware = grid.predictorAware;
+                    job.policy = grid.policy;
                     jobs.push_back(job);
                 }
             }

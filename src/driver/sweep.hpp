@@ -22,10 +22,9 @@ struct SweepGrid {
     std::vector<std::size_t> bitSizes{0};    ///< 0 = the paper's count
     std::vector<ValueStage> stages{ValueStage::kMemEnd};
     bool parityProtected = false;
-    bool staticFolds = false;
-    /// Predictor-aware fold selection on every ASBR point: fold only the
-    /// branches each point's own predictor demonstrably loses.
-    bool predictorAware = false;
+    /// Selection policy of every ASBR point (kPredictorAware: fold only the
+    /// branches each point's own predictor demonstrably loses).
+    SelectionPolicy policy = SelectionPolicy::kProfiled;
     /// Also run each workload x predictor point without ASBR, before its
     /// ASBR points, for side-by-side baselines in one report.
     bool includeBaseline = false;

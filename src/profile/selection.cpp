@@ -226,7 +226,6 @@ void loadSelection(AsbrUnit& unit, const Program& program,
     pcs.reserve(selection.residents.size());
     for (const Candidate& c : selection.residents) pcs.push_back(c.pc);
     unit.loadBank(0, extractBranchInfos(program, pcs));
-    if (selection.statics.empty()) return;
     std::vector<StaticFoldEntry> entries;
     entries.reserve(selection.statics.size());
     for (const StaticFoldCandidate& s : selection.statics)

@@ -133,8 +133,8 @@ struct Selection {
     const std::vector<analysis::timing::BranchCostRecord>& ranking,
     const SelectionConfig& config = {});
 
-/// Load a selection into `unit`: the BIT residents into bank 0 and, when
-/// there are any, the static folds with the reclaimed slot count.
+/// Load a selection into `unit`: the BIT residents into bank 0, the static
+/// folds (if any) and, under every policy, the reclaimed slot count.
 void loadSelection(AsbrUnit& unit, const Program& program,
                    const Selection& selection);
 

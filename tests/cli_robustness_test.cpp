@@ -5,10 +5,13 @@
 //
 // The tests shell out to the real binaries (ASBR_TOOLS_DIR is injected by
 // CMake as the tool build directory) and inspect exit status + combined
-// stdout/stderr.
+// stdout/stderr.  Report writes that do not land (a full device) must fail
+// the command too, and `asbr-stats run --program=FILE` is pinned on the
+// assembly fixtures (ASBR_FIXTURES_DIR).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -48,6 +51,8 @@ void expectCleanRejection(const RunResult& r, const std::string& what) {
                                   << r.output;
     EXPECT_NE(r.exitCode, 0) << what << " accepted bad input:\n" << r.output;
     EXPECT_FALSE(r.output.empty()) << what << " rejected silently";
+    EXPECT_EQ(r.output.find('\n'), r.output.size() - 1)
+        << what << " did not print exactly one line:\n" << r.output;
     EXPECT_EQ(r.output.npos, r.output.find("terminate called")) << r.output;
     EXPECT_EQ(r.output.npos, r.output.find("Segmentation")) << r.output;
 }
@@ -107,6 +112,14 @@ TEST(CliRobustness, StatsRunUnknownBench) {
         "asbr-stats run");
 }
 
+TEST(CliRobustness, StatsRunProgramWithBenchIsRejected) {
+    const RunResult r = runTool(
+        "asbr-stats", std::string("run --program=") + ASBR_FIXTURES_DIR +
+                          "/legal_far_producer.s --bench=adpcm-enc");
+    expectCleanRejection(r, "asbr-stats run --program --bench");
+    EXPECT_EQ(r.exitCode, 2) << r.output;
+}
+
 TEST(CliRobustness, StatsRunUnknownPredictor) {
     expectCleanRejection(
         runTool("asbr-stats", "run --bench=adpcm-enc --predictor=oracle2"),
@@ -120,6 +133,20 @@ TEST(CliRobustness, VerifyMissingFile) {
 
 TEST(CliRobustness, VerifyNoArguments) {
     expectCleanRejection(runTool("asbr-verify", ""), "asbr-verify");
+}
+
+TEST(CliRobustness, VerifyUnknownFlagAfterFile) {
+    expectCleanRejection(runTool("asbr-verify", "prog.s --frob"),
+                         "asbr-verify");
+}
+
+TEST(CliRobustness, VerifyRejectsFlagsTheModeDoesNotTake) {
+    expectCleanRejection(
+        runTool("asbr-verify", "analyze --bench=adpcm-enc --all"),
+        "asbr-verify analyze --all");
+    expectCleanRejection(
+        runTool("asbr-verify", "ipa --bench=adpcm-enc --threshold=3"),
+        "asbr-verify ipa --threshold");
 }
 
 TEST(CliRobustness, VerifyAnalyzeMissingFile) {
@@ -348,6 +375,83 @@ INSTANTIATE_TEST_SUITE_P(
                   "7"},
         BadNumber{"asbr-verify", "prog.s --threshold=1", "1"},
         BadNumber{"asbr-verify", "prog.s --bit=sixteen", "sixteen"}));
+
+/// A report write whose bytes do not land must fail the command with exit 1
+/// and a "cannot write" line, never claim success.
+struct FullDeviceWrite {
+    const char* tool;
+    const char* args;  ///< writes its report to /dev/full
+};
+
+void PrintTo(const FullDeviceWrite& c, std::ostream* out) {
+    *out << c.tool << ' ' << c.args;
+}
+
+class FullDeviceWriteTest : public testing::TestWithParam<FullDeviceWrite> {};
+
+TEST_P(FullDeviceWriteTest, FailsTheCommand) {
+    if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+    const FullDeviceWrite& c = GetParam();
+    const RunResult r = runTool(c.tool, c.args);
+    const std::string what = std::string(c.tool) + " " + c.args;
+    EXPECT_TRUE(r.exitedNormally) << what << "\n" << r.output;
+    EXPECT_EQ(r.exitCode, 1) << what << "\n" << r.output;
+    EXPECT_NE(r.output.find("cannot write"), r.output.npos)
+        << what << "\n" << r.output;
+    EXPECT_EQ(r.output.find("wrote "), r.output.npos)
+        << what << "\n" << r.output;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Writers, FullDeviceWriteTest,
+    testing::Values(
+        FullDeviceWrite{"asbr-stats",
+                        "run --quick --bench=adpcm-enc --json=/dev/full"},
+        FullDeviceWrite{"asbr-verify",
+                        "analyze --bench=adpcm-enc --out=/dev/full"},
+        FullDeviceWrite{"asbr-sweep",
+                        "--quick --workloads=adpcm-enc --json=/dev/full"},
+        FullDeviceWrite{"asbr-faults",
+                        "campaign --quick --bench=adpcm-enc --injections=1 "
+                        "--json=/dev/full"},
+        FullDeviceWrite{"../bench/fig6_baseline",
+                        "--quick --workload=adpcm-enc --json=/dev/full"}));
+
+/// counters["<name>"] as printed in an indented sim report; -1 when absent.
+long long reportCounter(const std::string& report, const std::string& name) {
+    const std::string key = "\"" + name + "\": ";
+    const std::size_t at = report.find(key);
+    return at == report.npos ? -1 : std::stoll(report.substr(at + key.size()));
+}
+
+TEST(StatsRunProgram, PinsCyclesAndFoldsOnEveryFixture) {
+    // `asbr-stats run --program=F --asbr` on each assembly fixture: the
+    // cycles and folds the standalone driver it replaced printed.
+    struct Pin {
+        const char* fixture;
+        long long cycles;
+        long long folds;
+    };
+    for (const Pin& pin : {Pin{"dangling_loopbound.s", 43, 6},
+                           Pin{"illegal_short_distance.s", 28, 0},
+                           Pin{"jalr_dispatch.s", 41, 0},
+                           Pin{"legal_call_return.s", 84, 6},
+                           Pin{"legal_far_producer.s", 65, 10},
+                           Pin{"unbounded_loop.s", 63, 5}}) {
+        const RunResult r = runTool(
+            "asbr-stats", std::string("run --asbr --json=- --program=") +
+                              ASBR_FIXTURES_DIR + "/" + pin.fixture);
+        EXPECT_EQ(r.exitCode, 0) << pin.fixture << "\n" << r.output;
+        EXPECT_NE(r.output.find(std::string("\"benchmark\": \"") +
+                                pin.fixture + "\""),
+                  r.output.npos)
+            << pin.fixture;
+        EXPECT_EQ(reportCounter(r.output, "pipeline.cycles"), pin.cycles)
+            << pin.fixture;
+        EXPECT_EQ(reportCounter(r.output, "asbr.folds"), pin.folds)
+            << pin.fixture;
+    }
+}
 
 TEST_P(CliRobustnessTest, HelpMentionsDurabilityFlags) {
     const RunResult r = runTool(GetParam(), "--help");

@@ -220,7 +220,7 @@ TEST(AccuracyReferenceTest, ReplayMatchesPipelineOnEveryWorkload) {
     for (const BenchId id : kAllBenchesExtended) {
         for (const bool scheduled : {true, false}) {
             const WorkloadArtifacts artifacts(
-                {id, scheduled, quick.seed, samplesFor(quick, id)});
+                {id, scheduled, quick.seed, samplesFor(quick, id), {}});
             const std::string what = std::string(benchToken(id)) +
                                      (scheduled ? " scheduled" : " unscheduled");
             auto bimodal = makePredictorByToken("bimodal");

@@ -257,7 +257,7 @@ TEST(PredictorStackDeterminism, SixWorkloadsBytesIdenticalAcrossThreads) {
     // One predictor-aware point so the aware-selection artifact path is
     // exercised under both schedulers too.
     SimJob aware = jobs.front();
-    aware.predictorAware = true;
+    aware.policy = SelectionPolicy::kPredictorAware;
     jobs.push_back(aware);
 
     auto serialize = [](const std::vector<JobResult>& results) {
@@ -403,7 +403,7 @@ TEST(PredictorAwareSelectionTest, EngineRunReportsAwareCounters) {
     job.predictor = "tage";
     job.figure = "test";
     job.asbr = true;
-    job.predictorAware = true;
+    job.policy = SelectionPolicy::kPredictorAware;
     SimEngine engine({.threads = 2});
     const std::vector<JobResult> results = engine.run({job});
     ASSERT_EQ(results.size(), 1u);
@@ -419,6 +419,29 @@ TEST(PredictorAwareSelectionTest, EngineRunReportsAwareCounters) {
     EXPECT_NE(json.find("\"predictor_aware\": true"), std::string::npos);
     EXPECT_NE(json.find("selection.predictor_aware_folded"),
               std::string::npos);
+}
+
+TEST(PredictorAwareSelectionTest, UnitCountsTheSlotsHandedBack) {
+    // asbr.bit_slots_reclaimed has one meaning under every policy: the
+    // slots the selection freed, which predictor-aware hands back.
+    const CliOptions options = tinyOptions();
+    SimJob job;
+    job.workload = BenchId::kAdpcmEncode;
+    job.seed = options.seed;
+    job.samples = driver::samplesFor(options, BenchId::kAdpcmEncode);
+    job.predictor = "tage";
+    job.asbr = true;
+    job.policy = SelectionPolicy::kPredictorAware;
+    const JobResult result = SimEngine().runOne(job);
+    const MetricRegistry& registry = result.report.registry;
+    const auto* unit = registry.findCounter("asbr.bit_slots_reclaimed");
+    const auto* aware =
+        registry.findCounter("selection.predictor_aware_reclaimed_slots");
+    ASSERT_NE(unit, nullptr);
+    ASSERT_NE(aware, nullptr);
+    EXPECT_GT(aware->value(), 0u);
+    EXPECT_EQ(unit->value(), aware->value());
+    EXPECT_EQ(unit->value(), result.selection.bitSlotsReclaimed);
 }
 
 }  // namespace

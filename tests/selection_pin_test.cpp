@@ -136,7 +136,7 @@ std::vector<PinCase> casesFor(BenchId id) {
             job.updateStage = driver::stageForThreshold(threshold);
             const Selection& selection = engine.selectionFor(job)->selection();
             MetricRegistry registry;
-            if (job.predictorAware) {
+            if (job.policy == SelectionPolicy::kPredictorAware) {
                 PredictorAwareSelectionMetrics metrics;
                 metrics.countSelection(selection);
                 metrics.publish(registry);
@@ -159,11 +159,11 @@ std::vector<PinCase> casesFor(BenchId id) {
             MetricRegistry{}));
 
         SimJob folds = base;
-        folds.staticFolds = true;
+        folds.policy = SelectionPolicy::kStaticFolds;
         viaEngine("static-folds", folds);
         for (const char* token : {"tage", "perceptron"}) {
             SimJob aware = base;
-            aware.predictorAware = true;
+            aware.policy = SelectionPolicy::kPredictorAware;
             aware.predictor = token;
             viaEngine((std::string("aware-") + token).c_str(), aware);
         }

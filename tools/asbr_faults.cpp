@@ -31,7 +31,10 @@ using namespace asbr::bench;
 
 namespace {
 
-[[noreturn]] void usage(int code) {
+constexpr const char* kCampaign = "asbr-faults campaign";
+constexpr const char* kReplay = "asbr-faults replay";
+
+[[noreturn]] void usage() {
     std::fputs(
         "usage: asbr-faults <command> [options]\n"
         "\n"
@@ -61,8 +64,8 @@ namespace {
         "   cycle-accurate golden run)\n"
         "\n"
         "shared options: --quick --seed=N --adpcm=N --g721=N --threads=N\n",
-        code == 0 ? stdout : stderr);
-    std::exit(code);
+        stdout);
+    std::exit(0);
 }
 
 std::atomic<bool> gInterrupted{false};
@@ -120,10 +123,7 @@ int cmdCampaign(int argc, char** argv) {
         const std::string arg = argv[i];
         std::string error;
         if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) {
-                std::fprintf(stderr, "campaign: %s\n", error.c_str());
-                return 2;
-            }
+            if (!error.empty()) driver::cliFail(kCampaign, error);
         } else if (arg.rfind("--bench=", 0) == 0) {
             bench = arg.substr(8);
         } else if (arg.rfind("--predictor=", 0) == 0) {
@@ -131,18 +131,16 @@ int cmdCampaign(int argc, char** argv) {
         } else if (arg == "--protected") {
             protectedMode = true;
         } else if (const auto v =
-                       driver::numArg(arg, "--injections=", "campaign")) {
+                       driver::numArg(arg, "--injections=", kCampaign)) {
             campaign.injections = *v;
         } else if (const auto v =
-                       driver::numArg(arg, "--fault-seed=", "campaign")) {
+                       driver::numArg(arg, "--fault-seed=", kCampaign)) {
             campaign.seed = *v;
         } else if (arg.rfind("--stage=", 0) == 0) {
             const auto s = driver::stageFromToken(arg.substr(8));
-            if (!s) {
-                std::fprintf(stderr, "campaign: unknown --stage '%s'\n",
-                             arg.substr(8).c_str());
-                return 2;
-            }
+            if (!s)
+                driver::cliFail(kCampaign, "unknown --stage '" + arg.substr(8) +
+                                               "' (ex_end|mem_end|commit)");
             stage = *s;
         } else if (arg == "--no-bdt") {
             campaign.faultBdt = false;
@@ -151,37 +149,28 @@ int cmdCampaign(int argc, char** argv) {
         } else if (arg == "--no-bp") {
             campaign.faultBp = false;
         } else if (arg == "--help" || arg == "-h") {
-            usage(0);
+            usage();
         } else {
-            std::fprintf(stderr, "campaign: unknown option '%s'\n",
-                         arg.c_str());
-            return 2;
+            driver::cliFail(kCampaign,
+                            "unknown option '" + arg + "' (try --help)");
         }
     }
 
     auto id = bench.empty() ? options.workload : driver::benchFromToken(bench);
-    if (!id) {
-        std::fprintf(stderr, "campaign: --bench is required (%s)\n",
-                     driver::benchTokenList());
-        return 2;
-    }
+    if (!id)
+        driver::cliFail(kCampaign, std::string("--bench is required (") +
+                                       driver::benchTokenList() + ")");
     std::string predictorError;
     if (driver::makePredictorByToken(predictorName, &predictorError) ==
-        nullptr) {
-        std::fprintf(stderr, "campaign: %s\n", predictorError.c_str());
-        return 2;
-    }
-    if (options.sample.has_value()) {
-        std::fprintf(stderr,
-                     "campaign: --sample is not supported here — injections "
-                     "are classified against the full cycle-accurate golden "
-                     "run\n");
-        return 2;
-    }
-    if (options.resume && options.journalDir.empty()) {
-        std::fprintf(stderr, "campaign: --resume requires --journal=DIR\n");
-        return 2;
-    }
+        nullptr)
+        driver::cliFail(kCampaign, predictorError);
+    if (options.sample.has_value())
+        driver::cliFail(kCampaign,
+                        "--sample is not supported here — injections are "
+                        "classified against the full cycle-accurate golden "
+                        "run");
+    if (options.resume && options.journalDir.empty())
+        driver::cliFail(kCampaign, "--resume requires --journal=DIR");
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
@@ -229,20 +218,8 @@ int cmdCampaign(int argc, char** argv) {
     if (!options.jsonPath.empty()) {
         const JsonValue doc =
             faultReportJson(meta, campaign, result, durable.failed);
-        const std::string text = doc.dump(2) + "\n";
-        if (options.jsonPath == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::ofstream out(options.jsonPath);
-            if (!out) {
-                std::fprintf(stderr, "cannot open %s for writing\n",
-                             options.jsonPath.c_str());
-                return 1;
-            }
-            out << text;
-            std::fprintf(stderr, "wrote fault report to %s\n",
-                         options.jsonPath.c_str());
-        }
+        driver::writeOutput(kCampaign, options.jsonPath, doc.dump(2) + "\n",
+                            "fault report");
     }
     return durable.failed.empty() ? 0 : 3;
 }
@@ -252,7 +229,7 @@ int cmdCampaign(int argc, char** argv) {
 std::optional<JsonValue> loadFaultReport(const char* path) {
     std::ifstream in(path);
     if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path);
+        std::fprintf(stderr, "asbr-faults: cannot open '%s'\n", path);
         return std::nullopt;
     }
     std::ostringstream buffer;
@@ -271,25 +248,21 @@ int cmdReplay(int argc, char** argv) {
     std::uint64_t index = 0;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (const auto v = driver::numArg(arg, "--index=", "replay")) {
+        if (const auto v = driver::numArg(arg, "--index=", kReplay)) {
             index = *v;
         } else if (arg == "--help" || arg == "-h") {
-            usage(0);
+            usage();
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "replay: unknown option '%s'\n", arg.c_str());
-            return 2;
+            driver::cliFail(kReplay,
+                            "unknown option '" + arg + "' (try --help)");
         } else if (path == nullptr) {
             path = argv[i];
         } else {
-            std::fprintf(stderr, "replay: unexpected argument '%s'\n",
-                         arg.c_str());
-            return 2;
+            driver::cliFail(kReplay, "unexpected argument '" + arg + "'");
         }
     }
-    if (path == nullptr) {
-        std::fprintf(stderr, "replay: a fault report FILE is required\n");
-        return 2;
-    }
+    if (path == nullptr)
+        driver::cliFail(kReplay, "a fault report FILE is required");
 
     const auto doc = loadFaultReport(path);
     if (!doc) return 1;
@@ -360,8 +333,8 @@ int cmdReplay(int argc, char** argv) {
                 replayed.detail.empty() ? "" : " — ",
                 replayed.detail.c_str());
     if (expected != got) {
-        std::fprintf(stderr, "replay: outcome mismatch (report not "
-                             "reproducible)\n");
+        std::fprintf(stderr, "%s: outcome mismatch (report not "
+                             "reproducible)\n", kReplay);
         return 1;
     }
     return 0;
@@ -372,9 +345,13 @@ int cmdValidate(const char* path) {
     if (!doc) return 1;
     const ReportSchema& kind = *findReportSchema(kFaultReportSchema);
     const ReportValidation validation = kind.validate(*doc);
-    for (const std::string& error : validation.errors)
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-    if (!validation.ok()) return 1;
+    if (!validation.ok()) {
+        // One line: the first schema error and how many follow it.
+        std::fprintf(stderr, "%s: %s (%zu schema error(s) in all)\n", path,
+                     validation.errors.front().c_str(),
+                     validation.errors.size());
+        return 1;
+    }
     std::printf("%s: valid %s v%llu document\n", path, kind.id,
                 static_cast<unsigned long long>(kind.version));
     return 0;
@@ -384,18 +361,21 @@ int cmdValidate(const char* path) {
 
 int main(int argc, char** argv) {
     try {
-        if (argc < 2) usage(2);
-        const std::string command = argv[1];
+        const std::string command = argc < 2 ? "" : argv[1];
         if (command == "--help" || command == "-h" || command == "help")
-            usage(0);
+            usage();
         if (command == "campaign") return cmdCampaign(argc - 2, argv + 2);
         if (command == "replay") return cmdReplay(argc - 2, argv + 2);
         if (command == "validate") {
-            if (argc != 3) usage(2);
+            if (argc != 3)
+                driver::cliFail("asbr-faults validate",
+                                "need exactly one FILE (try --help)");
             return cmdValidate(argv[2]);
         }
-        std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-        usage(2);
+        driver::cliFail("asbr-faults",
+                        command.empty()
+                            ? "need a command (try --help)"
+                            : "unknown command '" + command + "' (try --help)");
     } catch (const std::exception& e) {
         std::fprintf(stderr, "asbr-faults: error: %s\n", e.what());
         return 1;

@@ -3,9 +3,10 @@
 // One binary that exercises the whole reporting layer end to end:
 //   counters   print the canonical metric catalogue (docs/metrics.md is
 //              checked against this list by ci/docs-check.sh)
-//   run        simulate one benchmark under a chosen predictor (optionally
-//              with ASBR folding, a pipeline trace, or --sample=W:M:S sampled
-//              simulation) and export a schema-versioned asbr.sim_report or
+//   run        simulate one benchmark or C/assembly file (--program=FILE)
+//              under a chosen predictor (optionally with ASBR folding, a
+//              pipeline trace, or --sample=W:M:S sampled simulation) and
+//              export a schema-versioned asbr.sim_report or
 //              asbr.sampling_report
 //   report     regenerate the Figure 6 + Figure 11 sweeps as one
 //              asbr.bench_report document (what ci/bench-report.sh runs)
@@ -18,8 +19,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -39,19 +40,23 @@ using namespace asbr::bench;
 
 namespace {
 
-[[noreturn]] void usage(int code) {
+constexpr const char* kRun = "asbr-stats run";
+
+[[noreturn]] void usage() {
     std::fputs(
         "usage: asbr-stats <command> [options]\n"
         "\n"
         "commands:\n"
         "  counters              list every metric name the simulator registers\n"
         "  predictors            list predictor families, tokens, storage bits\n"
-        "  run --bench=B [...]   simulate one benchmark; export report / trace\n"
+        "  run --bench=B [...]   simulate a benchmark (or --program=FILE); export report / trace\n"
         "  report [--out=FILE]   Figure 6 + 11 sweep as one asbr.bench_report (default out: BENCH_asbr.json)\n"
         "  validate FILE         schema-check a report document\n"
         "\n"
         "run options:\n"
         "  --bench=adpcm-enc|adpcm-dec|g721-enc|g721-dec|g711-enc|g711-dec\n"
+        "  --program=FILE        run a C (mcc) or .s/.asm program instead of a\n"
+        "                        benchmark: no input buffers, BIT default 16\n"
         "  --predictor=TOKEN     predictor registry token (family, optionally\n"
         "                        parameterized — 'asbr-stats predictors' lists\n"
         "                        the grammar; default bimodal)\n"
@@ -77,34 +82,32 @@ namespace {
         "                (--journal=DIR / --resume are durable-sweep flags —\n"
         "                 asbr-sweep and asbr-faults campaign only; rejected\n"
         "                 here with a clear error)\n",
-        code == 0 ? stdout : stderr);
-    std::exit(code);
+        stdout);
+    std::exit(0);
 }
 
-/// Single-run commands have no journal: fail fast instead of silently
-/// ignoring a flag the user expected to persist something.
-bool rejectJournalFlags(const char* command, const Options& options) {
-    if (options.journalDir.empty() && !options.resume) return false;
-    std::fprintf(stderr,
-                 "%s: --journal/--resume apply to asbr-sweep and asbr-faults "
-                 "campaign (docs/robustness.md)\n",
-                 command);
-    return true;
-}
-
-void writeTextTo(const std::string& path, const std::string& text,
-                 const char* what) {
-    if (path == "-") {
-        std::fputs(text.c_str(), stdout);
-        return;
+/// Parse one command's arguments: the shared options, then `extra` for the
+/// command's own flags (true = consumed).  Single-run commands have no
+/// journal, so --journal/--resume fail fast instead of being ignored.
+template <typename Extra>
+void parseCommand(const char* command, int argc, char** argv,
+                  Options& options, Extra&& extra) {
+    for (int i = 0; i < argc; ++i) {
+        const std::string arg = argv[i];
+        std::string error;
+        if (driver::consumeSharedOption(arg, options, error)) {
+            if (!error.empty()) driver::cliFail(command, error);
+        } else if (arg == "--help" || arg == "-h") {
+            usage();
+        } else if (!extra(arg)) {
+            driver::cliFail(command,
+                            "unknown option '" + arg + "' (try --help)");
+        }
     }
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-        std::exit(1);
-    }
-    out << text;
-    std::fprintf(stderr, "wrote %s to %s\n", what, path.c_str());
+    if (!options.journalDir.empty() || options.resume)
+        driver::cliFail(command,
+                        "--journal/--resume apply to asbr-sweep and "
+                        "asbr-faults campaign (docs/robustness.md)");
 }
 
 int cmdCounters() {
@@ -151,7 +154,6 @@ int cmdPredictors() {
 }
 
 int cmdRun(int argc, char** argv) {
-    Options options;
     std::string bench;
     SimJob job;
     job.figure = "run";
@@ -159,100 +161,83 @@ int cmdRun(int argc, char** argv) {
     std::string traceFormat = "chrome";
     std::optional<std::uint64_t> minMips;
 
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string error;
-        if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) {
-                std::fprintf(stderr, "run: %s\n", error.c_str());
-                return 2;
-            }
-        } else if (arg.rfind("--bench=", 0) == 0) {
+    Options options;
+    parseCommand(kRun, argc, argv, options, [&](const std::string& arg) {
+        if (arg.rfind("--bench=", 0) == 0) {
             bench = arg.substr(8);
+        } else if (arg.rfind("--program=", 0) == 0) {
+            job.programFile = arg.substr(10);
+            if (job.programFile.empty())
+                driver::cliFail(kRun, "--program needs a file");
         } else if (arg.rfind("--predictor=", 0) == 0) {
             job.predictor = arg.substr(12);
         } else if (arg == "--asbr") {
             job.asbr = true;
-        } else if (arg == "--static-folds") {
-            job.staticFolds = true;
-            job.asbr = true;
-        } else if (arg == "--predictor-aware") {
-            job.predictorAware = true;
+        } else if (const auto p = driver::policyArg(arg, job.policy, kRun)) {
+            job.policy = *p;
             job.asbr = true;
         } else if (arg == "--protected") {
             job.parityProtected = true;
             job.asbr = true;
-        } else if (const auto v = driver::numArg(arg, "--bit=", "run")) {
+        } else if (const auto v = driver::numArg(arg, "--bit=", kRun)) {
             job.bitEntries = *v;
             job.asbr = true;
         } else if (arg.rfind("--stage=", 0) == 0) {
             const auto s = driver::stageFromToken(arg.substr(8));
-            if (!s) {
-                std::fprintf(stderr, "run: unknown --stage '%s'\n",
-                             arg.substr(8).c_str());
-                return 2;
-            }
+            if (!s)
+                driver::cliFail(kRun, "unknown --stage '" + arg.substr(8) +
+                                          "' (ex_end|mem_end|commit)");
             job.updateStage = *s;
             job.asbr = true;
         } else if (arg == "--sample-ref") {
             job.sampleReference = true;
-        } else if (const auto v = driver::numArg(arg, "--min-mips=", "run")) {
+        } else if (const auto v = driver::numArg(arg, "--min-mips=", kRun)) {
             minMips = *v;
         } else if (arg.rfind("--trace=", 0) == 0) {
             tracePath = arg.substr(8);
         } else if (arg.rfind("--trace-format=", 0) == 0) {
             traceFormat = arg.substr(15);
-            if (traceFormat != "chrome" && traceFormat != "jsonl") {
-                std::fprintf(stderr, "run: unknown --trace-format '%s'\n",
-                             traceFormat.c_str());
-                return 2;
-            }
-        } else if (const auto v =
-                       driver::numArg(arg, "--trace-start=", "run")) {
+            if (traceFormat != "chrome" && traceFormat != "jsonl")
+                driver::cliFail(kRun, "unknown --trace-format '" +
+                                          traceFormat + "' (chrome|jsonl)");
+        } else if (const auto v = driver::numArg(arg, "--trace-start=", kRun)) {
             job.traceConfig.startCycle = *v;
-        } else if (const auto v = driver::numArg(arg, "--trace-end=", "run")) {
+        } else if (const auto v = driver::numArg(arg, "--trace-end=", kRun)) {
             job.traceConfig.endCycle = *v;
-        } else if (const auto v = driver::numArg(arg, "--trace-max=", "run")) {
+        } else if (const auto v = driver::numArg(arg, "--trace-max=", kRun)) {
             job.traceConfig.maxEvents = *v;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
         } else {
-            std::fprintf(stderr, "run: unknown option '%s'\n", arg.c_str());
-            return 2;
+            return false;
         }
-    }
+        return true;
+    });
 
     // --workload= (shared spelling) and --bench= (historical) are aliases.
-    auto id = bench.empty() ? options.workload : driver::benchFromToken(bench);
-    if (!id) {
-        std::fprintf(stderr, "run: --bench is required (%s)\n",
-                     driver::benchTokenList());
-        return 2;
+    const bool named = !bench.empty() || options.workload.has_value();
+    if (!job.programFile.empty()) {
+        if (named)
+            driver::cliFail(kRun, "--program and --bench are exclusive");
+    } else {
+        const auto id =
+            bench.empty() ? options.workload : driver::benchFromToken(bench);
+        if (!id)
+            driver::cliFail(kRun, std::string(named ? "unknown" : "need a") +
+                                      " --bench (" + driver::benchTokenList() +
+                                      ") or --program=FILE");
+        job.workload = *id;
+        job.samples = samplesFor(options, *id);
     }
     std::string predictorError;
     if (driver::makePredictorByToken(job.predictor, &predictorError) ==
-        nullptr) {
-        std::fprintf(stderr, "run: %s\n", predictorError.c_str());
-        return 2;
-    }
-    if (job.staticFolds && job.predictorAware) {
-        std::fprintf(stderr,
-                     "run: --static-folds and --predictor-aware are "
-                     "exclusive\n");
-        return 2;
-    }
-    if (rejectJournalFlags("run", options)) return 2;
-    job.workload = *id;
+        nullptr)
+        driver::cliFail(kRun, predictorError);
     job.seed = options.seed;
-    job.samples = samplesFor(options, *id);
     if (options.sample) {
         job.sampled = true;
         job.sampling = *options.sample;
     }
-    if (job.sampleReference && !job.sampled) {
-        std::fprintf(stderr, "run: --sample-ref requires --sample=W:M:S\n");
-        return 2;
-    }
+    if (job.sampleReference && !job.sampled)
+        driver::cliFail(kRun, "--sample-ref requires --sample=W:M:S");
     if (!tracePath.empty()) {
 #ifndef ASBR_TRACING
         std::fprintf(stderr,
@@ -268,7 +253,7 @@ int cmdRun(int argc, char** argv) {
     // pipeline / sampled / reference runs only — compile/profile/select
     // artifact work is cached across jobs and must not skew the speed line.
     const double hostSeconds = r.simSeconds;
-    if (job.staticFolds)
+    if (job.policy == SelectionPolicy::kStaticFolds)
         std::fprintf(stderr,
                      "static folds: %zu branch(es) in the static table, "
                      "%llu BIT slot(s) reclaimed\n",
@@ -278,9 +263,9 @@ int cmdRun(int argc, char** argv) {
 
     if (r.sampled != nullptr) {
         const SampledResult& s = *r.sampled;
-        TextTable table(std::string("asbr-stats run (sampled): ") +
-                        benchName(*id) + " / " + r.report.meta.predictor +
-                        (job.asbr ? " + ASBR" : ""));
+        TextTable table("asbr-stats run (sampled): " +
+                        r.report.meta.benchmark + " / " +
+                        r.report.meta.predictor + (job.asbr ? " + ASBR" : ""));
         table.setHeader({"windows", "measured instr", "fast-forwarded",
                          "CPI estimate", "ci95 +/-", "fold rate"});
         table.addRow({formatWithCommas(s.windows.size()),
@@ -306,7 +291,7 @@ int cmdRun(int argc, char** argv) {
                 formatFixed(refCpi, 3).c_str(), errPct);
         }
     } else {
-        TextTable table(std::string("asbr-stats run: ") + benchName(*id) +
+        TextTable table("asbr-stats run: " + r.report.meta.benchmark +
                         " / " + r.report.meta.predictor +
                         (job.asbr ? " + ASBR" : ""));
         table.setHeader(
@@ -327,11 +312,12 @@ int cmdRun(int argc, char** argv) {
                     SamplingReference{r.referenceCycles, r.referenceCommitted};
             const JsonValue doc = samplingReportJson(
                 r.report.meta, job.sampling, *r.sampled, reference);
-            writeTextTo(options.jsonPath, doc.dump(2) + "\n",
-                        "sampling report");
+            driver::writeOutput(kRun, options.jsonPath, doc.dump(2) + "\n",
+                                "sampling report");
         } else {
             const JsonValue doc = simReportJson(r.report);
-            writeTextTo(options.jsonPath, doc.dump(2) + "\n", "sim report");
+            driver::writeOutput(kRun, options.jsonPath, doc.dump(2) + "\n",
+                                "sim report");
         }
     }
 
@@ -341,7 +327,7 @@ int cmdRun(int argc, char** argv) {
             r.tracer->writeJsonl(out);
         else
             r.tracer->writeChrome(out);
-        writeTextTo(tracePath, out.str(), "pipeline trace");
+        driver::writeOutput(kRun, tracePath, out.str(), "pipeline trace");
         if (r.tracer->truncated())
             std::fprintf(stderr,
                          "note: trace truncated at %zu events "
@@ -362,8 +348,8 @@ int cmdRun(int argc, char** argv) {
                  mips, formatWithCommas(simulated).c_str(), hostSeconds);
     if (minMips && mips < static_cast<double>(*minMips)) {
         std::fprintf(stderr,
-                     "run: sim speed %.1f MIPS below --min-mips floor %llu\n",
-                     mips, static_cast<unsigned long long>(*minMips));
+                     "%s: sim speed %.1f MIPS below --min-mips floor %llu\n",
+                     kRun, mips, static_cast<unsigned long long>(*minMips));
         return 3;
     }
     return 0;
@@ -372,25 +358,12 @@ int cmdRun(int argc, char** argv) {
 int cmdReport(int argc, char** argv) {
     Options options;
     options.jsonPath = "BENCH_asbr.json";
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        std::string error;
-        if (arg.rfind("--out=", 0) == 0) {
-            options.jsonPath = arg.substr(6);
-        } else if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) {
-                std::fprintf(stderr, "report: %s\n", error.c_str());
-                return 2;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "report: unknown option '%s'\n", arg.c_str());
-            return 2;
-        }
-    }
-
-    if (rejectJournalFlags("report", options)) return 2;
+    parseCommand("asbr-stats report", argc, argv, options,
+                 [&](const std::string& arg) {
+                     if (arg.rfind("--out=", 0) != 0) return false;
+                     options.jsonPath = arg.substr(6);
+                     return true;
+                 });
 
     // The whole Figure 6 + Figure 11 grid as one engine batch: per bench,
     // the three baseline predictors, then ASBR with the paper's BIT size
@@ -431,10 +404,9 @@ int cmdReport(int argc, char** argv) {
 
 int cmdValidate(const char* path) {
     std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path);
-        return 2;
-    }
+    if (!in)
+        driver::cliFail("asbr-stats validate",
+                        "cannot open '" + std::string(path) + "'");
     std::ostringstream buffer;
     buffer << in.rdbuf();
     const JsonParseResult parsed = parseJson(buffer.str());
@@ -455,9 +427,13 @@ int cmdValidate(const char* path) {
         return 1;
     }
     const ReportValidation validation = kind->validate(*parsed.value);
-    for (const std::string& error : validation.errors)
-        std::fprintf(stderr, "%s: %s\n", path, error.c_str());
-    if (!validation.ok()) return 1;
+    if (!validation.ok()) {
+        // One line: the first schema error and how many follow it.
+        std::fprintf(stderr, "%s: %s (%zu schema error(s) in all)\n", path,
+                     validation.errors.front().c_str(),
+                     validation.errors.size());
+        return 1;
+    }
     std::printf("%s: valid %s v%llu document\n", path,
                 kind->id, static_cast<unsigned long long>(kind->version));
     return 0;
@@ -467,20 +443,23 @@ int cmdValidate(const char* path) {
 
 int main(int argc, char** argv) {
     try {
-        if (argc < 2) usage(2);
-        const std::string command = argv[1];
+        const std::string command = argc < 2 ? "" : argv[1];
         if (command == "--help" || command == "-h" || command == "help")
-            usage(0);
+            usage();
         if (command == "counters") return cmdCounters();
         if (command == "predictors") return cmdPredictors();
         if (command == "run") return cmdRun(argc - 2, argv + 2);
         if (command == "report") return cmdReport(argc - 2, argv + 2);
         if (command == "validate") {
-            if (argc != 3) usage(2);
+            if (argc != 3)
+                driver::cliFail("asbr-stats validate",
+                                "need exactly one FILE (try --help)");
             return cmdValidate(argv[2]);
         }
-        std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-        usage(2);
+        driver::cliFail("asbr-stats",
+                        command.empty()
+                            ? "need a command (try --help)"
+                            : "unknown command '" + command + "' (try --help)");
     } catch (const std::exception& e) {
         std::fprintf(stderr, "asbr-stats: error: %s\n", e.what());
         return 1;

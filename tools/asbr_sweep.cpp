@@ -22,7 +22,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -36,18 +35,19 @@ using namespace asbr::bench;
 
 namespace {
 
-[[noreturn]] void usage(int code) {
-    FILE* out = code == 0 ? stdout : stderr;
+constexpr const char* kTool = "asbr-sweep";
+
+[[noreturn]] void usage() {
     std::fputs(
         "usage: asbr-sweep [options]\n"
         "\n"
         "grid axes (comma-separated lists; the cross-product is simulated):\n"
         "  --workloads=W1,W2,...   default: all six benchmarks\n"
         "  --predictors=P1,P2,...  default: bimodal; registered tokens:\n",
-        out);
+        stdout);
     for (const PredictorFamily& family : PredictorRegistry::instance().families())
-        std::fprintf(out, "                            %-28s %s\n",
-                     family.grammar.c_str(), family.summary.c_str());
+        std::printf("                            %-28s %s\n",
+                    family.grammar.c_str(), family.summary.c_str());
     std::fputs(
         "  --bits=N1,N2,...        BIT entries; 0 = the paper's per-benchmark\n"
         "                          count (default: 0)\n"
@@ -74,8 +74,8 @@ namespace {
         "shared options: --quick --seed=N --adpcm=N --g721=N --threads=N\n"
         "                --workload=W (single-workload shorthand) --csv\n"
         "                --sample=W:M:S\n",
-        out);
-    std::exit(code);
+        stdout);
+    std::exit(0);
 }
 
 std::vector<std::string> splitList(const std::string& text) {
@@ -123,15 +123,15 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         std::string error;
         if (driver::consumeSharedOption(arg, options, error)) {
-            if (!error.empty()) driver::cliFail(argv[0], error);
+            if (!error.empty()) driver::cliFail(kTool, error);
         } else if (arg.rfind("--workloads=", 0) == 0) {
             grid.workloads.clear();
             for (const std::string& token : splitList(arg.substr(12))) {
                 const auto id = driver::benchFromToken(token);
                 if (!id)
-                    driver::cliFail(argv[0], "unknown workload '" + token +
-                                                 "' (" +
-                                                 driver::benchTokenList() + ")");
+                    driver::cliFail(kTool, "unknown workload '" + token +
+                                               "' (" +
+                                               driver::benchTokenList() + ")");
                 grid.workloads.push_back(*id);
             }
         } else if (arg.rfind("--predictors=", 0) == 0) {
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
             for (const std::string& token : splitList(arg.substr(13))) {
                 std::string tokenError;
                 if (driver::makePredictorByToken(token, &tokenError) == nullptr)
-                    driver::cliFail(argv[0], tokenError);
+                    driver::cliFail(kTool, tokenError);
                 grid.predictors.push_back(token);
             }
         } else if (arg.rfind("--bits=", 0) == 0) {
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
             for (const std::string& token : splitList(arg.substr(7))) {
                 const auto bits = driver::parseUnsigned(token);
                 if (!bits)
-                    driver::cliFail(argv[0], driver::badNumber("--bits", token));
+                    driver::cliFail(kTool, driver::badNumber("--bits", token));
                 grid.bitSizes.push_back(*bits);
             }
         } else if (arg.rfind("--stages=", 0) == 0) {
@@ -155,33 +155,28 @@ int main(int argc, char** argv) {
             for (const std::string& token : splitList(arg.substr(9))) {
                 const auto stage = driver::stageFromToken(token);
                 if (!stage)
-                    driver::cliFail(argv[0], "unknown stage '" + token +
-                                                 "' (ex_end|mem_end|commit)");
+                    driver::cliFail(kTool, "unknown stage '" + token +
+                                               "' (ex_end|mem_end|commit)");
                 grid.stages.push_back(*stage);
             }
         } else if (arg == "--protected") {
             grid.parityProtected = true;
-        } else if (arg == "--static-folds") {
-            grid.staticFolds = true;
-        } else if (arg == "--predictor-aware") {
-            grid.predictorAware = true;
+        } else if (const auto p = driver::policyArg(arg, grid.policy, kTool)) {
+            grid.policy = *p;
         } else if (arg == "--baseline") {
             grid.includeBaseline = true;
         } else if (arg == "--help" || arg == "-h") {
-            usage(0);
+            usage();
         } else {
-            driver::cliFail(argv[0],
+            driver::cliFail(kTool,
                             "unknown option '" + arg + "' (try --help)");
         }
     }
     if (grid.predictors.empty() || grid.bitSizes.empty() ||
         grid.stages.empty())
-        driver::cliFail(argv[0], "every grid axis needs at least one value");
-    if (grid.staticFolds && grid.predictorAware)
-        driver::cliFail(argv[0],
-                        "--static-folds and --predictor-aware are exclusive");
+        driver::cliFail(kTool, "every grid axis needs at least one value");
     if (options.resume && options.journalDir.empty())
-        driver::cliFail(argv[0], "--resume requires --journal=DIR");
+        driver::cliFail(kTool, "--resume requires --journal=DIR");
     // --workload=W is shorthand for --workloads=W.
     if (options.workload.has_value()) grid.workloads = {*options.workload};
 
@@ -287,20 +282,9 @@ int main(int argc, char** argv) {
         }
         const JsonValue doc = sweepReportJson(
             "asbr-sweep", JsonValue(std::move(optionsJson)), cells);
-        const std::string text = doc.dump(2) + "\n";
-        if (options.jsonPath == "-") {
-            std::fputs(text.c_str(), stdout);
-        } else {
-            std::ofstream out(options.jsonPath);
-            if (!out) {
-                std::fprintf(stderr, "cannot open %s for writing\n",
-                             options.jsonPath.c_str());
-                return 1;
-            }
-            out << text;
-            std::fprintf(stderr, "wrote sweep report (%zu cells) to %s\n",
-                         cells.size(), options.jsonPath.c_str());
-        }
+        driver::writeOutput(
+            kTool, options.jsonPath, doc.dump(2) + "\n",
+            "sweep report (" + std::to_string(cells.size()) + " cells)");
     }
     return outcome.countWith(driver::CellStatus::kFailed) > 0 ? 3 : 0;
   } catch (const std::exception& e) {

@@ -129,7 +129,9 @@ prev_line=0
 prev_cmd=""
 while IFS= read -r cmd; do
     [[ -n "$cmd" ]] || continue
-    line=$(grep -n "asbr-stats $cmd" README.md | head -1 | cut -d: -f1)
+    # A missing command makes grep fail; under pipefail that must reach the
+    # FAIL branch below instead of aborting the script.
+    line=$(grep -n "asbr-stats $cmd" README.md | head -1 | cut -d: -f1 || true)
     if [[ -z "$line" ]]; then
         echo "FAIL: README.md does not document 'asbr-stats $cmd'" >&2
         status=1

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
+#include <csignal>
+#include <functional>
 #include <thread>
 #include <utility>
 
@@ -30,6 +31,25 @@ EngineConfig engineConfigFor(const CliOptions& options) {
 
 namespace {
 
+std::atomic<bool> gCheckpointRequested{false};
+
+extern "C" void requestCheckpoint(int) { gCheckpointRequested.store(true); }
+
+bool raised(const std::atomic<bool>* flag) {
+    return flag != nullptr && flag->load(std::memory_order_relaxed);
+}
+
+/// The policy's write-ahead journal pinned to `digest`; null without one.
+std::unique_ptr<JobJournal> openJournal(const DurablePolicy& policy,
+                                        const std::string& digest,
+                                        std::uint64_t units) {
+    ASBR_ENSURE(!policy.resume || !policy.journalDir.empty(),
+                "engine: resume requires a journal directory");
+    if (policy.journalDir.empty()) return nullptr;
+    return std::make_unique<JobJournal>(policy.journalDir, policy.resume,
+                                        digest, units);
+}
+
 /// The report name of a job's program: the workload's, or the file's
 /// basename.
 std::string programName(const SimJob& job) {
@@ -51,6 +71,19 @@ void appendFsSafe(std::string& key, std::string_view text) {
 }
 
 }  // namespace
+
+DurablePolicy durablePolicyFor(const CliOptions& options,
+                               const char* program) {
+    if (options.resume && options.journalDir.empty())
+        cliFail(program, "--resume requires --journal=DIR");
+    std::signal(SIGINT, requestCheckpoint);
+    std::signal(SIGTERM, requestCheckpoint);
+    DurablePolicy policy;
+    policy.journalDir = options.journalDir;
+    policy.resume = options.resume;
+    policy.interrupted = &gCheckpointRequested;
+    return policy;
+}
 
 WorkloadKey SimEngine::workloadKeyFor(const SimJob& job) const {
     WorkloadKey key;
@@ -150,6 +183,11 @@ std::string SimEngine::campaignManifestDigest(
     return fnv1a64Hex(all);
 }
 
+void SimEngine::countRun(std::uint64_t cycles) {
+    jobsRun_.fetch_add(1, std::memory_order_relaxed);
+    busyCycles_.fetch_add(cycles, std::memory_order_relaxed);
+}
+
 JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
     const WorkloadKey workloadKey = workloadKeyFor(job);
     const auto workload = cache_.workload(workloadKey);
@@ -170,10 +208,7 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
         out.tracer = std::make_shared<Tracer>(job.traceConfig);
         pipelineConfig.tracer = out.tracer.get();
     }
-    // The wall-clock watchdog rides the cycle-hook seam; an inert deadline
-    // is never installed, so un-watched runs keep a null cycleHook.
-    if (deadline != nullptr && deadline->active())
-        pipelineConfig.cycleHook = deadline;
+    pipelineConfig.cycleHook = deadline;
 
     const auto simStart = std::chrono::steady_clock::now();
     PipelineStats runStats;
@@ -181,9 +216,7 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
         auto sampled = std::make_shared<SampledResult>(
             runSampledPipeline(workload->prepared(), *predictor, unit.get(),
                                job.sampling, pipelineConfig));
-        jobsRun_.fetch_add(1, std::memory_order_relaxed);
-        busyCycles_.fetch_add(sampled->measuredCycles,
-                              std::memory_order_relaxed);
+        countRun(sampled->measuredCycles);
         runStats = sampled->stats;
         out.sampled = std::move(sampled);
         if (job.sampleReference) {
@@ -196,8 +229,7 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
             const PipelineResult ref =
                 runPipeline(workload->prepared(), *refPredictor, refUnit.get(),
                             pipelineConfig);
-            jobsRun_.fetch_add(1, std::memory_order_relaxed);
-            busyCycles_.fetch_add(ref.stats.cycles, std::memory_order_relaxed);
+            countRun(ref.stats.cycles);
             out.hasReference = true;
             out.referenceCycles = ref.stats.cycles;
             out.referenceCommitted = ref.stats.committed;
@@ -205,8 +237,7 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
     } else {
         const PipelineResult result = runPipeline(
             workload->prepared(), *predictor, unit.get(), pipelineConfig);
-        jobsRun_.fetch_add(1, std::memory_order_relaxed);
-        busyCycles_.fetch_add(result.stats.cycles, std::memory_order_relaxed);
+        countRun(result.stats.cycles);
         runStats = result.stats;
     }
     out.simSeconds =
@@ -248,53 +279,40 @@ JobResult SimEngine::execute(const SimJob& job, Deadline* deadline) {
     return out;
 }
 
-JobResult SimEngine::executeWithRetry(const SimJob& job) {
-    const std::uint64_t maxAttempts =
-        std::max<std::uint64_t>(1, config_.maxAttempts);
-    for (std::uint64_t attempt = 1;; ++attempt) {
-        try {
-            Deadline deadline(config_.jobTimeoutMs);
-            return execute(job, &deadline);
-        } catch (const JobInterruptedError&) {
-            throw;  // a checkpoint request is not a retryable failure
-        } catch (const std::exception&) {
-            if (attempt >= maxAttempts) throw;
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoffDelayMs(attempt + 1)));
-        }
-    }
-}
+/// One unit of work as the attempt loop sees it: a batch job or a fault
+/// injection.  The two differ only in their journal key and in how a result
+/// becomes artifact bytes and back; the result itself lives in the caller.
+struct SimEngine::Work {
+    std::string key{};  ///< journal key: jobKey(job) or "inj<i>"
+    /// One attempt; `watchdog` is null when there is nothing to watch.
+    std::function<void(Deadline* watchdog)> run{};
+    /// The successful attempt's result as artifact bytes (journal only).
+    std::function<std::string()> bytes{};
+    /// Restore the result from a verified journal artifact.
+    std::function<void(JsonValue artifact)> splice{};
+};
 
-JobResult SimEngine::runOne(const SimJob& job) {
-    return executeWithRetry(job);
-}
-
-std::vector<JobResult> SimEngine::run(const std::vector<SimJob>& jobs) {
-    std::vector<JobResult> results(jobs.size());
-    parallelFor(jobs.size(), config_.threads,
-                [&](std::size_t i) { results[i] = executeWithRetry(jobs[i]); });
-    return results;
-}
-
-CellOutcome SimEngine::runDurableOne(const SimJob& job,
-                                     const DurablePolicy& policy,
-                                     JobJournal* journal) {
+// Resume, sticky quarantine, then attempts: each one write-ahead journaled,
+// run under a Deadline, concluded in the journal and backed off.
+CellOutcome SimEngine::runAttempts(const Work& work, JobJournal* journal,
+                                   const std::atomic<bool>* interrupted,
+                                   bool rethrow) {
     CellOutcome cell;
-    cell.key = jobKey(job);
+    cell.key = work.key;
 
     const JournalEntry* prior =
-        journal != nullptr ? journal->entry(cell.key) : nullptr;
+        journal != nullptr ? journal->entry(work.key) : nullptr;
     const std::uint64_t priorFailures =
         prior != nullptr ? prior->failedAttempts : 0;
     if (prior != nullptr && prior->done) {
-        if (const auto bytes =
-                journal->readArtifact(prior->artifactPath, prior->resultDigest)) {
-            const JsonParseResult parsed = parseJson(*bytes);
+        if (const auto bytes = journal->readArtifact(prior->artifactPath,
+                                                     prior->resultDigest)) {
+            JsonParseResult parsed = parseJson(*bytes);
             if (parsed.ok()) {
+                work.splice(std::move(*parsed.value));
                 cell.status = CellStatus::kOk;
                 cell.attempts = prior->doneAttempt;
                 cell.resumed = true;
-                cell.report = *parsed.value;
                 jobsResumed_.fetch_add(1, std::memory_order_relaxed);
                 return cell;
             }
@@ -305,7 +323,7 @@ CellOutcome SimEngine::runDurableOne(const SimJob& job,
     }
 
     const std::uint64_t maxAttempts =
-        std::max<std::uint64_t>(1, policy.maxAttempts);
+        std::max<std::uint64_t>(1, config_.maxAttempts);
     if (priorFailures >= maxAttempts) {
         // Quarantined in a previous process; stays quarantined on resume
         // unless --max-attempts was raised.
@@ -316,22 +334,20 @@ CellOutcome SimEngine::runDurableOne(const SimJob& job,
     }
 
     for (std::uint64_t attempt = priorFailures + 1;; ++attempt) {
-        if (policy.interrupted != nullptr &&
-            policy.interrupted->load(std::memory_order_relaxed)) {
-            cell.status = CellStatus::kSkipped;
-            return cell;
-        }
-        if (journal != nullptr) journal->recordStart(cell.key, attempt);
+        if (raised(interrupted)) return cell;  // kSkipped
+        if (journal != nullptr) journal->recordStart(work.key, attempt);
         try {
-            Deadline deadline(policy.jobTimeoutMs, policy.interrupted);
-            const JobResult result = execute(job, &deadline);
-            cell.report = simReportJson(result.report);
+            // The wall-clock watchdog rides the cycle-hook seam; an inert
+            // deadline is never installed, so un-watched runs keep a null
+            // cycleHook.
+            Deadline deadline(config_.jobTimeoutMs, interrupted);
+            work.run(deadline.active() ? &deadline : nullptr);
             if (journal != nullptr) {
-                const std::string bytes = cell.report.dump(2) + "\n";
+                const std::string bytes = work.bytes();
                 const std::string artifact =
-                    JobJournal::artifactPathFor(cell.key);
+                    JobJournal::artifactPathFor(work.key);
                 journal->writeArtifact(artifact, bytes);
-                journal->recordDone(cell.key, attempt, artifact,
+                journal->recordDone(work.key, attempt, artifact,
                                     fnv1a64Hex(bytes));
             }
             cell.status = CellStatus::kOk;
@@ -341,44 +357,61 @@ CellOutcome SimEngine::runDurableOne(const SimJob& job,
             // Deliberately no journal record: the attempt never concluded,
             // exactly like a crash — resume re-runs it with the same
             // attempt number and reproduces the uninterrupted bytes.
-            cell.status = CellStatus::kSkipped;
-            return cell;
+            return cell;  // kSkipped
         } catch (const std::exception& e) {
             if (journal != nullptr)
-                journal->recordFailed(cell.key, attempt, e.what());
+                journal->recordFailed(work.key, attempt, e.what());
             if (attempt >= maxAttempts) {
+                if (rethrow) throw;
                 cell.status = CellStatus::kFailed;
                 cell.attempts = attempt;
                 cell.error = e.what();
                 return cell;
             }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoffDelayMs(attempt + 1)));
         }
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(backoffDelayMs(attempt + 1)));
     }
+}
+
+JobResult SimEngine::runOne(const SimJob& job) {
+    JobResult result;
+    (void)runAttempts(
+        {.run = [&](Deadline* watchdog) { result = execute(job, watchdog); }},
+        nullptr, nullptr, /*rethrow=*/true);
+    return result;
+}
+
+std::vector<JobResult> SimEngine::run(const std::vector<SimJob>& jobs) {
+    std::vector<JobResult> results(jobs.size());
+    parallelFor(jobs.size(), config_.threads,
+                [&](std::size_t i) { results[i] = runOne(jobs[i]); });
+    return results;
 }
 
 DurableRunResult SimEngine::runDurable(const std::vector<SimJob>& jobs,
                                        const DurablePolicy& policy) {
-    ASBR_ENSURE(!policy.resume || !policy.journalDir.empty(),
-                "engine: resume requires a journal directory");
-    std::unique_ptr<JobJournal> journal;
-    if (!policy.journalDir.empty())
-        journal = std::make_unique<JobJournal>(policy.journalDir, policy.resume,
-                                               manifestDigest(jobs),
-                                               jobs.size());
+    const auto journal =
+        openJournal(policy, manifestDigest(jobs), jobs.size());
     DurableRunResult out;
     out.cells.resize(jobs.size());
     parallelFor(jobs.size(), config_.threads, [&](std::size_t i) {
-        out.cells[i] = runDurableOne(jobs[i], policy, journal.get());
+        JsonValue report;
+        out.cells[i] = runAttempts(
+            {.key = jobKey(jobs[i]),
+             .run =
+                 [&](Deadline* watchdog) {
+                     report = simReportJson(execute(jobs[i], watchdog).report);
+                 },
+             .bytes = [&] { return report.dump(2) + "\n"; },
+             .splice =
+                 [&](JsonValue artifact) { report = std::move(artifact); }},
+            journal.get(), policy.interrupted, /*rethrow=*/false);
+        if (out.cells[i].status == CellStatus::kOk)
+            out.cells[i].report = std::move(report);
     });
-    out.resumedJobs = 0;
-    for (const CellOutcome& cell : out.cells)
-        if (cell.resumed) ++out.resumedJobs;
-    out.interrupted =
-        out.countWith(CellStatus::kSkipped) > 0 ||
-        (policy.interrupted != nullptr &&
-         policy.interrupted->load(std::memory_order_relaxed));
+    out.interrupted = out.countWith(CellStatus::kSkipped) > 0 ||
+                      raised(policy.interrupted);
     return out;
 }
 
@@ -402,147 +435,58 @@ FaultRunFactory SimEngine::faultFactory(const SimJob& job) {
     };
 }
 
-CampaignResult SimEngine::runCampaign(const SimJob& job,
-                                      const CampaignConfig& campaign) {
-    const FaultRunFactory factory = faultFactory(job);
-    CampaignResult result;
-    result.context = computeContext(factory);
-
-    // Sample every injection up front in the serial campaign's RNG order,
-    // then execute in parallel: the records land in sampling order, so the
-    // merged result is bit-identical to the serial loop at any thread count.
-    const std::vector<Injection> injections =
-        sampleInjections(campaignSiteClasses(factory, campaign), campaign,
-                         result.context.cleanCycles);
-    result.records.resize(injections.size());
-    parallelFor(injections.size(), config_.threads, [&](std::size_t i) {
-        result.records[i] = runInjection(factory, injections[i], result.context,
-                                         campaign.maxCycleFactor);
-        jobsRun_.fetch_add(1, std::memory_order_relaxed);
-        busyCycles_.fetch_add(result.records[i].cycles,
-                              std::memory_order_relaxed);
-    });
-    for (const InjectionRecord& record : result.records)
-        ++result.outcomes[static_cast<std::size_t>(record.outcome)];
-    return result;
-}
-
 DurableCampaignResult SimEngine::runCampaignDurable(
     const SimJob& job, const CampaignConfig& campaign,
     const DurablePolicy& policy) {
-    ASBR_ENSURE(!policy.resume || !policy.journalDir.empty(),
-                "engine: resume requires a journal directory");
     const FaultRunFactory factory = faultFactory(job);
     DurableCampaignResult out;
     // Context + sampling are deterministic and cheap relative to the grid,
-    // so every (re)start recomputes them instead of journaling them.
+    // so every (re)start recomputes them instead of journaling them.  Every
+    // injection is sampled up front in the serial campaign's RNG order and
+    // the records merge in that order, so the result is bit-identical to
+    // the serial loop at any thread count.
     out.result.context = computeContext(factory);
+    const CampaignContext& context = out.result.context;
     const std::vector<Injection> injections =
         sampleInjections(campaignSiteClasses(factory, campaign), campaign,
-                         out.result.context.cleanCycles);
+                         context.cleanCycles);
+    const auto journal = openJournal(
+        policy, campaignManifestDigest(job, campaign), injections.size());
 
-    std::unique_ptr<JobJournal> journal;
-    if (!policy.journalDir.empty())
-        journal = std::make_unique<JobJournal>(
-            policy.journalDir, policy.resume,
-            campaignManifestDigest(job, campaign), injections.size());
-
-    const std::uint64_t maxAttempts =
-        std::max<std::uint64_t>(1, policy.maxAttempts);
-    std::vector<std::optional<InjectionRecord>> records(injections.size());
-    std::vector<std::optional<FailedInjection>> failed(injections.size());
-    std::atomic<bool> sawSkip{false};
-    std::atomic<std::uint64_t> resumedCount{0};
-
+    std::vector<InjectionRecord> records(injections.size());
+    std::vector<CellOutcome> cells(injections.size());
     parallelFor(injections.size(), config_.threads, [&](std::size_t i) {
-        const std::string key = "inj" + std::to_string(i);
-        const JournalEntry* prior =
-            journal != nullptr ? journal->entry(key) : nullptr;
-        const std::uint64_t priorFailures =
-            prior != nullptr ? prior->failedAttempts : 0;
-        if (prior != nullptr && prior->done) {
-            if (const auto bytes = journal->readArtifact(prior->artifactPath,
-                                                         prior->resultDigest)) {
-                const JsonParseResult parsed = parseJson(*bytes);
-                if (parsed.ok()) {
-                    records[i] = injectionRecordFromJson(*parsed.value);
-                    jobsResumed_.fetch_add(1, std::memory_order_relaxed);
-                    resumedCount.fetch_add(1, std::memory_order_relaxed);
-                    return;
-                }
-            }
-            // Corrupt artifact: recompute (deterministic — same bytes).
-        }
-        if (priorFailures >= maxAttempts) {
-            FailedInjection f;
-            f.index = i;
-            f.injection = injections[i];
-            f.attempts = priorFailures;
-            f.error = prior->lastError;
-            failed[i] = std::move(f);
-            return;
-        }
-        for (std::uint64_t attempt = priorFailures + 1;; ++attempt) {
-            if (policy.interrupted != nullptr &&
-                policy.interrupted->load(std::memory_order_relaxed)) {
-                sawSkip.store(true, std::memory_order_relaxed);
-                return;
-            }
-            if (journal != nullptr) journal->recordStart(key, attempt);
-            try {
-                Deadline deadline(policy.jobTimeoutMs, policy.interrupted);
-                InjectionRecord record = runInjection(
-                    factory, injections[i], out.result.context,
-                    campaign.maxCycleFactor,
-                    deadline.active() ? &deadline : nullptr);
-                jobsRun_.fetch_add(1, std::memory_order_relaxed);
-                busyCycles_.fetch_add(record.cycles,
-                                      std::memory_order_relaxed);
-                if (journal != nullptr) {
-                    const std::string bytes =
-                        injectionRecordJson(record).dump(2) + "\n";
-                    const std::string artifact =
-                        JobJournal::artifactPathFor(key);
-                    journal->writeArtifact(artifact, bytes);
-                    journal->recordDone(key, attempt, artifact,
-                                        fnv1a64Hex(bytes));
-                }
-                records[i] = std::move(record);
-                return;
-            } catch (const JobInterruptedError&) {
-                sawSkip.store(true, std::memory_order_relaxed);
-                return;
-            } catch (const std::exception& e) {
-                if (journal != nullptr)
-                    journal->recordFailed(key, attempt, e.what());
-                if (attempt >= maxAttempts) {
-                    FailedInjection f;
-                    f.index = i;
-                    f.injection = injections[i];
-                    f.attempts = attempt;
-                    f.error = e.what();
-                    failed[i] = std::move(f);
-                    return;
-                }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(backoffDelayMs(attempt + 1)));
-            }
-        }
+        InjectionRecord& record = records[i];
+        cells[i] = runAttempts(
+            {.key = "inj" + std::to_string(i),
+             .run =
+                 [&](Deadline* watchdog) {
+                     record = runInjection(factory, injections[i], context,
+                                           campaign.maxCycleFactor, watchdog);
+                     countRun(record.cycles);
+                 },
+             .bytes =
+                 [&] { return injectionRecordJson(record).dump(2) + "\n"; },
+             .splice =
+                 [&](JsonValue artifact) {
+                     record = injectionRecordFromJson(artifact);
+                 }},
+            journal.get(), policy.interrupted, /*rethrow=*/false);
     });
 
     for (std::size_t i = 0; i < injections.size(); ++i) {
-        if (records[i].has_value()) {
-            ++out.result.outcomes[static_cast<std::size_t>(
-                records[i]->outcome)];
-            out.result.records.push_back(std::move(*records[i]));
-        } else if (failed[i].has_value()) {
-            out.failed.push_back(std::move(*failed[i]));
+        if (cells[i].status == CellStatus::kOk) {
+            ++out.result
+                  .outcomes[static_cast<std::size_t>(records[i].outcome)];
+            out.result.records.push_back(std::move(records[i]));
+        } else if (cells[i].status == CellStatus::kFailed) {
+            out.failed.push_back({i, injections[i], cells[i].attempts,
+                                  std::move(cells[i].error)});
+        } else {
+            out.interrupted = true;
         }
     }
-    out.resumedJobs = resumedCount.load(std::memory_order_relaxed);
-    out.interrupted = sawSkip.load(std::memory_order_relaxed) ||
-                      (policy.interrupted != nullptr &&
-                       policy.interrupted->load(std::memory_order_relaxed));
+    out.interrupted = out.interrupted || raised(policy.interrupted);
     return out;
 }
 
@@ -551,12 +495,9 @@ InjectionRecord SimEngine::replayInjection(const SimJob& job,
                                            std::uint64_t maxCycleFactor) {
     const FaultRunFactory factory = faultFactory(job);
     const CampaignContext context = computeContext(factory);
-    Deadline deadline(config_.jobTimeoutMs);
     InjectionRecord record =
-        runInjection(factory, injection, context, maxCycleFactor,
-                     deadline.active() ? &deadline : nullptr);
-    jobsRun_.fetch_add(1, std::memory_order_relaxed);
-    busyCycles_.fetch_add(record.cycles, std::memory_order_relaxed);
+        runInjection(factory, injection, context, maxCycleFactor);
+    countRun(record.cycles);
     return record;
 }
 

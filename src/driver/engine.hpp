@@ -37,11 +37,11 @@ struct EngineConfig {
     /// Worker threads for batch/campaign execution (0 = hardware
     /// concurrency).  1 runs everything inline on the calling thread.
     std::size_t threads = 1;
-    /// Per-job wall-clock watchdog in milliseconds (0 = off).  Exceeding it
-    /// throws JobTimeoutError — host time never lands in results.
+    /// Per-attempt wall-clock watchdog in milliseconds (0 = off).  Exceeding
+    /// it throws JobTimeoutError — host time never lands in results.
     std::uint64_t jobTimeoutMs = 0;
-    /// Bounded retry for runOne/run: attempts per job before the failure is
-    /// rethrown.  Retries sleep backoffDelayMs(attempt) between attempts.
+    /// Attempts per job or injection (retries sleep backoffDelayMs) before
+    /// runOne/run rethrow the failure and runDurable* quarantine the cell.
     std::uint64_t maxAttempts = 1;
 };
 
@@ -59,18 +59,22 @@ struct EngineStats {
 
 /// Durable-execution policy for runDurable/runCampaignDurable
 /// (docs/robustness.md).  An empty journalDir runs without persistence —
-/// the watchdog/retry/quarantine semantics still apply, so tools use one
-/// code path whether or not --journal was given.
+/// the engine's watchdog/retry/quarantine semantics still apply, so tools
+/// use one code path whether or not --journal was given.
 struct DurablePolicy {
     std::string journalDir;  ///< write-ahead journal directory; empty = none
     bool resume = false;     ///< resume an existing journal (requires dir)
-    std::uint64_t maxAttempts = 1;   ///< attempts before quarantine
-    std::uint64_t jobTimeoutMs = 0;  ///< per-attempt wall-clock bound (0=off)
     /// Cooperative interrupt flag (SIGINT/SIGTERM handler sets it): pending
     /// jobs are skipped, the in-flight attempt aborts without a journal
     /// record, and the caller exits after the journal is checkpointed.
     const std::atomic<bool>* interrupted = nullptr;
 };
+
+/// DurablePolicy from the shared CLI options (--journal/--resume) with the
+/// interrupt flag wired to a SIGINT/SIGTERM handler this call installs.
+/// --resume without --journal is a bad command line: cliFail(program, ...).
+[[nodiscard]] DurablePolicy durablePolicyFor(const CliOptions& options,
+                                             const char* program);
 
 enum class CellStatus : std::uint8_t {
     kOk = 0,       ///< simulated (or resumed) successfully
@@ -93,7 +97,6 @@ struct CellOutcome {
 
 struct DurableRunResult {
     std::vector<CellOutcome> cells;  ///< submission order
-    std::uint64_t resumedJobs = 0;
     bool interrupted = false;  ///< any cell skipped / interrupt flag raised
 
     [[nodiscard]] std::uint64_t countWith(CellStatus status) const {
@@ -107,7 +110,6 @@ struct DurableRunResult {
 struct DurableCampaignResult {
     CampaignResult result;  ///< completed records in sampling order
     std::vector<FailedInjection> failed;  ///< quarantined, by sampling index
-    std::uint64_t resumedJobs = 0;
     bool interrupted = false;
 };
 
@@ -127,7 +129,8 @@ public:
     [[nodiscard]] std::shared_ptr<const SelectionArtifacts> selectionFor(
         const SimJob& job);
 
-    /// Run one job on the calling thread.
+    /// Run one job on the calling thread, with the configured watchdog and
+    /// retry; the last failed attempt's exception is rethrown.
     [[nodiscard]] JobResult runOne(const SimJob& job);
 
     /// Run a batch on the worker pool; results are in submission order.
@@ -155,9 +158,10 @@ public:
     [[nodiscard]] DurableRunResult runDurable(const std::vector<SimJob>& jobs,
                                               const DurablePolicy& policy);
 
-    /// Durable fault campaign: the golden context is recomputed on every
-    /// (re)start — it is deterministic and cheap relative to the grid —
-    /// while each injection is journaled and resumed individually.
+    /// Durable fault campaign, byte-identical to the serial
+    /// asbr::runCampaign when nothing is quarantined.  The golden context is
+    /// recomputed on every (re)start while each injection is journaled and
+    /// resumed individually; an empty policy runs without a journal.
     [[nodiscard]] DurableCampaignResult runCampaignDurable(
         const SimJob& job, const CampaignConfig& campaign,
         const DurablePolicy& policy);
@@ -166,12 +170,6 @@ public:
     /// is freshly constructed from cached immutable artifacts, so it is safe
     /// to call from concurrent workers.
     [[nodiscard]] FaultRunFactory faultFactory(const SimJob& job);
-
-    /// Full fault campaign: golden context, serial-order injection sampling,
-    /// parallel execution, submission-order merge.  Byte-identical to the
-    /// serial asbr::runCampaign for the same job and campaign config.
-    [[nodiscard]] CampaignResult runCampaign(const SimJob& job,
-                                             const CampaignConfig& campaign);
 
     /// Re-run one recorded injection (asbr-faults replay).
     [[nodiscard]] InjectionRecord replayInjection(const SimJob& job,
@@ -190,12 +188,19 @@ public:
     void publishMetrics(MetricRegistry& registry) const;
 
 private:
-    [[nodiscard]] JobResult execute(const SimJob& job,
-                                    Deadline* deadline = nullptr);
-    [[nodiscard]] JobResult executeWithRetry(const SimJob& job);
-    [[nodiscard]] CellOutcome runDurableOne(const SimJob& job,
-                                            const DurablePolicy& policy,
-                                            JobJournal* journal);
+    struct Work;
+
+    /// One simulated run: engine.jobs_run += 1, worker_busy_cycles += cycles.
+    void countRun(std::uint64_t cycles);
+    /// Simulate one job; a non-null `deadline` becomes the cycle hook.
+    [[nodiscard]] JobResult execute(const SimJob& job, Deadline* deadline);
+    /// The one attempt loop every batch job and fault injection runs
+    /// through (see engine.cpp).  `rethrow` makes a last failed attempt
+    /// rethrow its exception instead of quarantining the cell.
+    [[nodiscard]] CellOutcome runAttempts(const Work& work,
+                                          JobJournal* journal,
+                                          const std::atomic<bool>* interrupted,
+                                          bool rethrow);
 
     EngineConfig config_;
     ArtifactCache cache_;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "driver/cli.hpp"
+#include "driver/engine.hpp"
 #include "driver/job.hpp"
 #include "sim/fetch_customizer.hpp"
 #include "workloads/workloads.hpp"
@@ -35,5 +36,13 @@ struct SweepGrid {
 /// figure = "sweep".
 [[nodiscard]] std::vector<SimJob> expandSweep(const SweepGrid& grid,
                                               const CliOptions& options);
+
+/// The one emitter of `asbr.sweep_report` v2 (schema and validation:
+/// report/sweep_report.hpp), from the engine's cells in submission order.
+/// `generator` names the producing binary; `options` is free-form metadata.
+/// A kSkipped cell (an interrupted run) is an EnsureError, not "failed".
+[[nodiscard]] JsonValue sweepReportJson(const std::string& generator,
+                                        JsonValue options,
+                                        const std::vector<CellOutcome>& cells);
 
 }  // namespace asbr::driver

@@ -16,14 +16,14 @@
 //     sequence (engine counters still go to stderr).
 //
 // Like the other report kinds, the document is produced through exactly one
-// code path and validated by an executable schema checker.  Nothing in the
+// code path (driver::sweepReportJson, which serializes the engine's cells)
+// and validated by an executable schema checker.  Nothing in the
 // document depends on thread count, scheduling or host time, so the same
 // sweep serializes byte-identically at --threads=1 and --threads=8 and
 // across resume boundaries (the determinism tests diff whole files).
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "report/report.hpp"
 #include "util/json.hpp"
@@ -34,23 +34,6 @@ inline constexpr const char* kSweepReportSchema = "asbr.sweep_report";
 /// Sweep documents version independently of the base kReportSchemaVersion:
 /// v2 introduced cells/failed_jobs (PR 8) without touching other schemas.
 inline constexpr std::uint64_t kSweepReportVersion = 2;
-
-/// One grid point of a finished sweep (report-layer mirror of the driver's
-/// CellOutcome; the report library stays independent of the driver layer).
-struct SweepCell {
-    std::string job;        ///< engine job key (stable, fs-safe)
-    std::string status;     ///< "ok" | "failed"
-    std::uint64_t attempts = 0;
-    JsonValue report;       ///< embedded asbr.sim_report ("ok" cells)
-    std::string error;      ///< quarantine reason ("failed" cells)
-};
-
-/// Serialize a finished sweep (schema `asbr.sweep_report`, version 2).
-/// `generator` names the producing binary; `options` is free-form metadata
-/// (the CLI options of the producing run).
-[[nodiscard]] JsonValue sweepReportJson(const std::string& generator,
-                                        JsonValue options,
-                                        const std::vector<SweepCell>& cells);
 
 /// Schema validation; shares ReportValidation with the other report kinds.
 [[nodiscard]] ReportValidation validateSweepReportJson(const JsonValue& doc);

@@ -110,14 +110,23 @@ TEST(DriverDeterminism, CampaignBytesIdenticalAcrossThreadCounts) {
     meta.samples = job.samples;
     meta.updateStage = valueStageName(job.updateStage);
 
-    SimEngine serial({.threads = 1});
-    SimEngine parallel({.threads = 8});
-    const std::string s1 =
-        faultReportJson(meta, campaign, serial.runCampaign(job, campaign))
+    auto engineText = [&](std::size_t threads) {
+        SimEngine engine({.threads = threads});
+        const DurableCampaignResult durable =
+            engine.runCampaignDurable(job, campaign, {});
+        return faultReportJson(meta, campaign, durable.result, durable.failed)
             .dump(2);
-    const std::string p1 =
-        faultReportJson(meta, campaign, parallel.runCampaign(job, campaign))
+    };
+    SimEngine factoryEngine;
+    const std::string reference =
+        faultReportJson(meta, campaign,
+                        asbr::runCampaign(factoryEngine.faultFactory(job),
+                                          campaign))
             .dump(2);
+    const std::string s1 = engineText(1);
+    const std::string p1 = engineText(8);
+    EXPECT_EQ(reference, s1)
+        << "engine campaign diverged from the serial asbr::runCampaign";
     EXPECT_EQ(s1, p1) << "fault campaign diverged across thread counts";
 }
 
@@ -135,17 +144,8 @@ TEST(DriverDeterminism, SweepReportBytesIdenticalAcrossThreadCounts) {
         SimEngine engine({.threads = threads});
         // Durable executor without a journal — the code path asbr-sweep uses.
         const DurableRunResult outcome = engine.runDurable(jobs, {});
-        std::vector<SweepCell> cells;
-        for (const CellOutcome& cell : outcome.cells) {
-            SweepCell out;
-            out.job = cell.key;
-            out.status = cell.status == CellStatus::kOk ? "ok" : "failed";
-            out.attempts = cell.attempts;
-            out.report = cell.report;
-            out.error = cell.error;
-            cells.push_back(std::move(out));
-        }
-        return sweepReportJson("driver_test", JsonValue(JsonObject{}), cells)
+        return sweepReportJson("driver_test", JsonValue(JsonObject{}),
+                               outcome.cells)
             .dump(2);
     };
     const std::string s1 = sweepText(1);

@@ -24,6 +24,7 @@
 #include "driver/engine.hpp"
 #include "driver/journal.hpp"
 #include "driver/names.hpp"
+#include "driver/sweep.hpp"
 #include "report/fault_report.hpp"
 #include "report/sweep_report.hpp"
 #include "util/ensure.hpp"
@@ -118,19 +119,10 @@ void truncateAfterFirstDone(const std::string& dir, const std::string& tail) {
     truncateJournal(dir, lines, tail);
 }
 
-/// The exact document asbr-sweep serializes from a durable outcome.
+/// A durable outcome's sweep report, through the emitter asbr-sweep uses.
 std::string sweepDocBytes(const DurableRunResult& outcome) {
-    std::vector<SweepCell> cells;
-    for (const CellOutcome& cell : outcome.cells) {
-        SweepCell out;
-        out.job = cell.key;
-        out.status = cell.status == CellStatus::kOk ? "ok" : "failed";
-        out.attempts = cell.attempts;
-        out.report = cell.report;
-        out.error = cell.error;
-        cells.push_back(std::move(out));
-    }
-    return sweepReportJson("durability_test", JsonValue(JsonObject{}), cells)
+    return sweepReportJson("durability_test", JsonValue(JsonObject{}),
+                           outcome.cells)
         .dump(2);
 }
 
@@ -256,7 +248,10 @@ TEST(DurableRun, ResumeAfterTornJournalByteMatchesOneShot) {
         const DurableRunResult resumed =
             second.runDurable(jobs, journalPolicy(dir, true));
         EXPECT_GE(second.stats().jobsResumed, 1u);
-        EXPECT_EQ(resumed.resumedJobs, second.stats().jobsResumed);
+        std::uint64_t resumedCells = 0;
+        for (const CellOutcome& cell : resumed.cells)
+            if (cell.resumed) ++resumedCells;
+        EXPECT_EQ(resumedCells, second.stats().jobsResumed);
         EXPECT_EQ(sweepDocBytes(resumed), oneShot)
             << "resumed sweep diverged at --threads=" << threads;
     }
@@ -289,11 +284,9 @@ TEST(DurableRun, PersistentFailureQuarantinesWithoutAborting) {
     jobs[2].predictor = "no-such-predictor";  // resolves never, fails always
 
     const std::string dir = freshDir("quarantine");
-    DurablePolicy policy = journalPolicy(dir, false);
-    policy.maxAttempts = 2;
-
-    SimEngine engine({.threads = 1});
-    const DurableRunResult outcome = engine.runDurable(jobs, policy);
+    SimEngine engine({.threads = 1, .maxAttempts = 2});
+    const DurableRunResult outcome =
+        engine.runDurable(jobs, journalPolicy(dir, false));
     ASSERT_EQ(outcome.cells.size(), jobs.size());
     EXPECT_EQ(outcome.countWith(CellStatus::kOk), jobs.size() - 1);
     EXPECT_EQ(outcome.countWith(CellStatus::kFailed), 1u);
@@ -314,7 +307,7 @@ TEST(DurableRun, PersistentFailureQuarantinesWithoutAborting) {
     ASSERT_EQ(failedJobs->asArray().size(), 1u);
 
     // Resume at the same budget: the quarantine is sticky (no re-run)...
-    SimEngine again({.threads = 1});
+    SimEngine again({.threads = 1, .maxAttempts = 2});
     const DurableRunResult sticky =
         again.runDurable(jobs, journalPolicy(dir, true));
     EXPECT_EQ(sticky.cells[2].status, CellStatus::kFailed);
@@ -322,10 +315,9 @@ TEST(DurableRun, PersistentFailureQuarantinesWithoutAborting) {
 
     // ...until --max-attempts is raised, which re-runs (and fails again,
     // with the attempt counter advancing past the journaled failures).
-    DurablePolicy raised = journalPolicy(dir, true);
-    raised.maxAttempts = 3;
-    SimEngine third({.threads = 1});
-    const DurableRunResult retried = third.runDurable(jobs, raised);
+    SimEngine third({.threads = 1, .maxAttempts = 3});
+    const DurableRunResult retried =
+        third.runDurable(jobs, journalPolicy(dir, true));
     EXPECT_EQ(retried.cells[2].status, CellStatus::kFailed);
     EXPECT_EQ(retried.cells[2].attempts, 3u);
 }
@@ -341,11 +333,17 @@ TEST(DurableRun, WallClockWatchdogTripsAndQuarantines) {
     job.predictor = "bimodal";
     job.figure = "test";
 
-    DurablePolicy policy;
-    policy.jobTimeoutMs = 1;
-    policy.maxAttempts = 2;
-    SimEngine engine({.threads = 1});
-    const DurableRunResult outcome = engine.runDurable({job}, policy);
+    SimEngine engine({.threads = 1, .jobTimeoutMs = 1, .maxAttempts = 2});
+    // runOne retries the same way and then rethrows the last failure.
+    try {
+        (void)engine.runOne(job);
+        ADD_FAILURE() << "runOne finished inside a 1 ms watchdog";
+    } catch (const JobTimeoutError& e) {
+        EXPECT_STREQ(e.what(),
+                     watchdogMessage("job", "wall-clock", 1, "ms").c_str());
+    }
+
+    const DurableRunResult outcome = engine.runDurable({job}, {});
     ASSERT_EQ(outcome.cells.size(), 1u);
     EXPECT_EQ(outcome.cells[0].status, CellStatus::kFailed);
     EXPECT_EQ(outcome.cells[0].attempts, 2u);
@@ -365,6 +363,8 @@ TEST(DurableRun, InterruptSkipsPendingJobsThenResumeCompletes) {
     const DurableRunResult outcome = engine.runDurable(jobs, policy);
     EXPECT_TRUE(outcome.interrupted);
     EXPECT_EQ(outcome.countWith(CellStatus::kSkipped), jobs.size());
+    // A skipped cell never ran: it has no place in a sweep report.
+    EXPECT_THROW((void)sweepDocBytes(outcome), EnsureError);
 
     // Nothing beyond the manifest may have been journaled: a skipped job
     // must not consume an attempt.
@@ -397,9 +397,10 @@ TEST(DurableCampaign, ResumeAfterTruncationByteMatchesOneShot) {
     meta.updateStage = valueStageName(job.updateStage);
 
     SimEngine plain({.threads = 1});
+    const DurableCampaignResult once =
+        plain.runCampaignDurable(job, campaign, {});
     const std::string oneShot =
-        faultReportJson(meta, campaign, plain.runCampaign(job, campaign))
-            .dump(2);
+        faultReportJson(meta, campaign, once.result, once.failed).dump(2);
 
     const std::string dir = freshDir("campaign");
     {
@@ -417,12 +418,57 @@ TEST(DurableCampaign, ResumeAfterTruncationByteMatchesOneShot) {
     SimEngine second({.threads = 8});
     const DurableCampaignResult resumed =
         second.runCampaignDurable(job, campaign, journalPolicy(dir, true));
-    EXPECT_GE(resumed.resumedJobs, 1u);
+    EXPECT_GE(second.stats().jobsResumed, 1u);
     EXPECT_TRUE(resumed.failed.empty());
     EXPECT_EQ(
         faultReportJson(meta, campaign, resumed.result, resumed.failed).dump(2),
         oneShot)
         << "resumed campaign diverged from the uninterrupted run";
+}
+
+TEST(DurableCampaign, InterruptSkipsPendingInjectionsThenResumeCompletes) {
+    const SimJob job = tinyJob(BenchId::kAdpcmEncode, "bimodal", true);
+    CampaignConfig campaign;
+    campaign.injections = 6;
+    campaign.seed = 7;
+
+    FaultReportMeta meta;  // fixed header; only records/outcomes matter
+    meta.benchmark = benchToken(job.workload);
+    meta.predictor = job.predictor;
+    meta.seed = job.seed;
+    meta.samples = job.samples;
+    meta.updateStage = valueStageName(job.updateStage);
+
+    const std::string dir = freshDir("campaign_interrupt");
+    std::atomic<bool> interrupted{true};  // raised before anything ran
+    DurablePolicy policy = journalPolicy(dir, false);
+    policy.interrupted = &interrupted;
+
+    SimEngine engine({.threads = 1});
+    const DurableCampaignResult outcome =
+        engine.runCampaignDurable(job, campaign, policy);
+    EXPECT_TRUE(outcome.interrupted);
+    EXPECT_TRUE(outcome.result.records.empty());
+    EXPECT_TRUE(outcome.failed.empty());
+
+    // A skipped injection must not consume an attempt: the journal holds
+    // the manifest line and nothing else.
+    std::istringstream lines(readFile(journalPath(dir)));
+    std::string line;
+    std::size_t count = 0;
+    while (std::getline(lines, line)) ++count;
+    EXPECT_EQ(count, 1u);
+
+    SimEngine fresh({.threads = 1});
+    const DurableCampaignResult once =
+        fresh.runCampaignDurable(job, campaign, {});
+    SimEngine resumed({.threads = 1});
+    const DurableCampaignResult done =
+        resumed.runCampaignDurable(job, campaign, journalPolicy(dir, true));
+    EXPECT_FALSE(done.interrupted);
+    EXPECT_EQ(
+        faultReportJson(meta, campaign, done.result, done.failed).dump(2),
+        faultReportJson(meta, campaign, once.result, once.failed).dump(2));
 }
 
 TEST(DurableCampaign, ManifestPinsCampaignConfig) {

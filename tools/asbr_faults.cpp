@@ -13,8 +13,6 @@
 // Campaigns run on the driver::SimEngine worker pool — injections are
 // sampled in serial RNG order and merged by index, so --threads=8 emits the
 // same bytes as --threads=1.
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -67,10 +65,6 @@ constexpr const char* kReplay = "asbr-faults replay";
         stdout);
     std::exit(0);
 }
-
-std::atomic<bool> gInterrupted{false};
-
-extern "C" void onSignal(int) { gInterrupted.store(true); }
 
 /// The ASBR job a campaign (or replay) simulates: the paper's BIT size for
 /// the benchmark, bimodal-2048 accuracy reference, chosen aux predictor.
@@ -169,23 +163,13 @@ int cmdCampaign(int argc, char** argv) {
                         "--sample is not supported here — injections are "
                         "classified against the full cycle-accurate golden "
                         "run");
-    if (options.resume && options.journalDir.empty())
-        driver::cliFail(kCampaign, "--resume requires --journal=DIR");
-
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
+    const driver::DurablePolicy policy =
+        driver::durablePolicyFor(options, kCampaign);
 
     SimEngine engine(driver::engineConfigFor(options));
     const SimJob job =
         campaignJob(*id, options, predictorName, protectedMode, stage);
     const FaultReportMeta meta = metaFor(engine, job);
-
-    driver::DurablePolicy policy;
-    policy.journalDir = options.journalDir;
-    policy.resume = options.resume;
-    policy.maxAttempts = options.maxAttempts;
-    policy.jobTimeoutMs = options.jobTimeoutMs;
-    policy.interrupted = &gInterrupted;
     const driver::DurableCampaignResult durable =
         engine.runCampaignDurable(job, campaign, policy);
     const CampaignResult& result = durable.result;

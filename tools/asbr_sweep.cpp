@@ -18,8 +18,6 @@
 //   asbr-sweep --workload=g721-enc --stages=commit,mem_end,ex_end
 //              --baseline --threads=8 --json=sweep.json
 //   asbr-sweep --journal=sweep.j --resume --json=sweep.json
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -28,7 +26,6 @@
 #include "bench_util.hpp"
 #include "bp/registry.hpp"
 #include "driver/sweep.hpp"
-#include "report/sweep_report.hpp"
 
 using namespace asbr;
 using namespace asbr::bench;
@@ -99,10 +96,6 @@ const char* stageToken(ValueStage stage) {
     }
     return "?";
 }
-
-std::atomic<bool> gInterrupted{false};
-
-extern "C" void onSignal(int) { gInterrupted.store(true); }
 
 /// counters["<name>"] from a serialized asbr.sim_report, 0 when absent.
 std::uint64_t reportCounter(const JsonValue& report, const char* name) {
@@ -175,23 +168,13 @@ int main(int argc, char** argv) {
     if (grid.predictors.empty() || grid.bitSizes.empty() ||
         grid.stages.empty())
         driver::cliFail(kTool, "every grid axis needs at least one value");
-    if (options.resume && options.journalDir.empty())
-        driver::cliFail(kTool, "--resume requires --journal=DIR");
+    const driver::DurablePolicy policy =
+        driver::durablePolicyFor(options, kTool);
     // --workload=W is shorthand for --workloads=W.
     if (options.workload.has_value()) grid.workloads = {*options.workload};
 
-    std::signal(SIGINT, onSignal);
-    std::signal(SIGTERM, onSignal);
-
     const std::vector<SimJob> jobs = driver::expandSweep(grid, options);
     SimEngine engine(driver::engineConfigFor(options));
-
-    driver::DurablePolicy policy;
-    policy.journalDir = options.journalDir;
-    policy.resume = options.resume;
-    policy.maxAttempts = options.maxAttempts;
-    policy.jobTimeoutMs = options.jobTimeoutMs;
-    policy.interrupted = &gInterrupted;
     const driver::DurableRunResult outcome = engine.runDurable(jobs, policy);
 
     TextTable table("asbr-sweep: " + std::to_string(jobs.size()) +
@@ -268,23 +251,11 @@ int main(int argc, char** argv) {
         optionsJson.emplace_back(
             "g721_samples", static_cast<std::uint64_t>(options.g721Samples));
         optionsJson.emplace_back("seed", options.seed);
-        std::vector<SweepCell> cells;
-        cells.reserve(outcome.cells.size());
-        for (const driver::CellOutcome& cell : outcome.cells) {
-            SweepCell out;
-            out.job = cell.key;
-            out.status =
-                cell.status == driver::CellStatus::kOk ? "ok" : "failed";
-            out.attempts = cell.attempts;
-            out.report = cell.report;
-            out.error = cell.error;
-            cells.push_back(std::move(out));
-        }
-        const JsonValue doc = sweepReportJson(
-            "asbr-sweep", JsonValue(std::move(optionsJson)), cells);
+        const JsonValue doc = driver::sweepReportJson(
+            "asbr-sweep", JsonValue(std::move(optionsJson)), outcome.cells);
         driver::writeOutput(
             kTool, options.jsonPath, doc.dump(2) + "\n",
-            "sweep report (" + std::to_string(cells.size()) + " cells)");
+            "sweep report (" + std::to_string(jobs.size()) + " cells)");
     }
     return outcome.countWith(driver::CellStatus::kFailed) > 0 ? 3 : 0;
   } catch (const std::exception& e) {
